@@ -21,8 +21,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::cluster::{self, ClusterSched, EagerScratch, SchedParts, Shadow};
 use crate::config::{DeviceConfig, MemoryModel, ProfileMode, SpinModel, StoreScope};
+use crate::crowd::{self, Crowd, Slot};
 use crate::error::{SimtError, WarpSnapshot};
 use crate::kernel::{Pc, WarpKernel, PC_EXIT};
 use crate::mem::{
@@ -52,6 +52,9 @@ pub struct GpuDevice {
     /// Scheduler heap events processed by the most recent launch (see
     /// [`GpuDevice::last_launch_heap_events`]).
     last_heap_events: u64,
+    /// Fast-forward counters of the most recent launch (see
+    /// [`GpuDevice::last_launch_ff_counters`]).
+    last_ff: FfCounters,
     /// Grid-reuse: cached initial-residency assignments keyed by warp
     /// count. See the fill loop in [`GpuDevice::launch_inner`].
     grid_cache: Vec<GridPlan>,
@@ -78,11 +81,8 @@ struct GridPlan {
 #[derive(Default)]
 struct LaunchScratch {
     resident: Vec<usize>,
-    /// Pooled storage of the cluster scheduler: the per-cluster event
-    /// heaps plus the SM partition tables (see `cluster.rs`).
-    sched: SchedParts,
-    /// Per-cluster worker scratch for eager horizon advancement.
-    eager: Vec<EagerScratch>,
+    /// The event schedule: a min-heap of `(tick, warp, seq)` keys.
+    sched: BinaryHeap<Reverse<(u64, u32, u32)>>,
     sm_next_free: Vec<u64>,
     sm_last_issue: Vec<u64>,
     accesses: Vec<RawAccess>,
@@ -90,22 +90,8 @@ struct LaunchScratch {
     groups: Vec<(Pc, u64)>,
     seq: Vec<u32>,
     spin: Vec<SpinState>,
-    sm_parked: Vec<Vec<u32>>,
-    /// Per-SM min-heap of `(next_tick, warp)` keys for parked warps, so
-    /// `ff_advance` selects its next virtual visit in O(log parked) instead
-    /// of rescanning the SM's parked list. Keys go stale when a warp
-    /// advances or unparks; since `next_tick` is strictly increasing per
-    /// warp, a key is live iff it equals the warp's current projection, and
-    /// stale keys are lazily dropped on peek.
-    sm_visit: Vec<BinaryHeap<Reverse<(u64, u32)>>>,
-    /// Per-SM ready row: parked warps whose visit fell at or below the SM
-    /// issue cursor, sorted by warp id (the replay heap's same-tick tie
-    /// order). See [`SpinFf::ready`].
-    sm_ready: Vec<Vec<u32>>,
-    /// Reusable buffers for [`ff_mw_batch`]'s planning passes, so the
-    /// (usually bailing) attempt never allocates on the advance hot path.
-    mw_plans: Vec<MwPlan>,
-    mw_res: Vec<u64>,
+    /// Per-SM parked-warp bookkeeping (fast-forward spin model).
+    sm_ff: Vec<SmFf>,
     wakes: Vec<(u32, u64, u32)>,
     spin_rec: SpinRec,
 }
@@ -268,9 +254,19 @@ struct SpinFf {
     sig: Vec<SigStep>,
     /// Ticks per whole iteration (sum of `sig` costs).
     period: u64,
+    /// Flops, L2 hits and failed polls of one whole iteration.
+    cyc_flops: u64,
+    cyc_l2: u64,
+    cyc_polls: u64,
+    /// Residue of the anchor poll's issue ticks modulo `period`, as
+    /// registered in the SM's crowd (see `crowd.rs`).
+    phase: u64,
     /// Global words whose writes must wake this warp: the polled words
-    /// plus every word the loop body reads.
+    /// plus every word the loop body reads, sorted and deduplicated.
     watch: Vec<(u32, u32)>,
+    /// The waiter-list slots of `watch` while parked (see
+    /// `DeviceMemory::spin_park`).
+    watch_slots: Vec<u32>,
     /// Virtual cursor: next `sig` index to issue...
     idx: usize,
     /// ...and the earliest tick it can issue at (pre-displacement). For a
@@ -342,41 +338,70 @@ fn bump(seq: &mut [u32], warp: u32) -> u32 {
     *s
 }
 
-/// Starts a capture at an all-lanes-failed pure poll.
+/// Starts a capture at an all-lanes-failed pure poll, reusing a retired
+/// capture from `spare` when there is one.
 fn new_capture(
+    spare: &mut Vec<SpinFf>,
     sm: usize,
     pc: Pc,
     mask: u64,
     out: &StepOutcome,
     polled: &[(u32, u32)],
 ) -> Box<SpinFf> {
-    let mut watch: Vec<(u32, u32)> = Vec::with_capacity(polled.len());
-    for &wd in polled {
-        if !watch.contains(&wd) {
-            watch.push(wd);
-        }
-    }
-    Box::new(SpinFf {
+    let first = SigStep {
+        pc,
+        cost: out.cost_ticks,
+        l2_hits: out.l2_hits,
+        flops: out.flops,
+        poll_fails: polled.len() as u32,
+        issue: out.issue,
+        wait: out.wait,
+    };
+    let mut c = Box::new(spare.pop().unwrap_or_else(|| SpinFf {
         sm,
         anchor_pc: pc,
         mask,
-        lanes: mask.count_ones() as u64,
-        sig: vec![SigStep {
-            pc,
-            cost: out.cost_ticks,
-            l2_hits: out.l2_hits,
-            flops: out.flops,
-            poll_fails: polled.len() as u32,
-            issue: out.issue,
-            wait: out.wait,
-        }],
+        lanes: 0,
+        sig: Vec::new(),
         period: 0,
-        watch,
+        cyc_flops: 0,
+        cyc_l2: 0,
+        cyc_polls: 0,
+        phase: 0,
+        watch: Vec::new(),
+        watch_slots: Vec::new(),
         idx: 0,
         next_tick: 0,
         ready: false,
         kick: None,
-    })
+    }));
+    let SpinFf { sig, watch, .. } = &mut *c;
+    sig.clear();
+    sig.push(first);
+    watch.clear();
+    watch.extend_from_slice(polled);
+    if !watch.is_sorted() {
+        watch.sort_unstable();
+    }
+    watch.dedup();
+    c.sm = sm;
+    c.anchor_pc = pc;
+    c.mask = mask;
+    c.lanes = mask.count_ones() as u64;
+    c.idx = 0;
+    c.ready = false;
+    c.kick = None;
+    c
+}
+
+/// Retired captures kept for reuse at most (see [`new_capture`]).
+const MAX_SPARE_CAPTURES: usize = 4096;
+
+/// Keeps a retired capture's vectors for the next [`new_capture`].
+fn retire_capture(spare: &mut Vec<SpinFf>, c: SpinFf) {
+    if spare.len() < MAX_SPARE_CAPTURES {
+        spare.push(c);
+    }
 }
 
 /// Issue tick of the parked warp's next anchor-poll visit at or after the
@@ -404,210 +429,413 @@ fn poll_at_or_after(p: &SpinFf, next_tick: u64, tick: u64, min_warp: u32, wid: u
     u
 }
 
-/// One warp's share of a [`ff_mw_batch`] window, planned before anything
-/// mutates so any bail leaves the advance state untouched.
-struct MwPlan {
-    wid: u32,
-    steps: u64,
+/// Per-SM bookkeeping of parked warps.
+#[derive(Default)]
+struct SmFf {
+    /// The SM's parked warps.
+    parked: Vec<u32>,
+    /// Min-heap of `(next_tick, warp)` keys for parked warps, so the
+    /// per-visit path selects its next virtual visit in O(log parked)
+    /// instead of rescanning `parked`. Keys go stale when a warp advances
+    /// or unparks; since `next_tick` is strictly increasing per warp, a key
+    /// is live iff it equals the warp's current projection, and stale keys
+    /// are lazily dropped on peek. Not maintained while the SM is walked
+    /// (`crowd.walk`); rebuilt when the per-visit path next needs it.
+    visit: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Ready row: parked warps whose visit fell at or below the SM issue
+    /// cursor, sorted by warp id (the replay heap's same-tick tie order).
+    /// See [`SpinFf::ready`].
+    ready: Vec<u32>,
+    /// The parked warps' slot residues (see `crowd.rs`).
+    crowd: Crowd,
+}
+
+/// Fast-forward bookkeeping of one launch (see
+/// [`GpuDevice::last_launch_ff_counters`]). Diagnostic only: like heap
+/// events, kept out of [`LaunchStats`], so it never moves simulated
+/// results. The three instruction counters sum to the launch's virtual
+/// (fast-forwarded) warp instructions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FfCounters {
+    /// Warps parked on a captured spin loop.
+    pub parks: u64,
+    /// Parked warps a write to a watched word woke back into real
+    /// execution.
+    pub wakes: u64,
+    /// Windows in which every parked warp of one SM advanced in one closed
+    /// form.
+    pub crowd_advances: u64,
+    /// Virtual instructions issued one at a time through an SM's visit
+    /// heap.
+    pub heap_visit_instructions: u64,
+    /// Virtual instructions issued one at a time by walking an SM's sorted
+    /// slot residues.
+    pub walk_instructions: u64,
+    /// Virtual instructions accounted in closed form, in crowd windows.
+    pub closed_form_instructions: u64,
+}
+
+/// Cost of the loop steps before step `idx`.
+fn offset(p: &SpinFf, idx: usize) -> u64 {
+    p.sig[..idx].iter().map(|s| s.cost).sum()
+}
+
+/// The slots of parked warp `wid` (sorted) under its registered phase.
+fn warp_slots(p: &SpinFf, wid: u32) -> ([Slot; MAX_SIG], usize) {
+    let mut out = [Slot::default(); MAX_SIG];
+    let mut off = 0;
+    for (i, s) in p.sig.iter().enumerate() {
+        out[i] = Slot {
+            res: (p.phase + off) % p.period,
+            wid,
+            step: i as u32,
+        };
+        off += s.cost;
+    }
+    let n = p.sig.len();
+    out[..n].sort_unstable();
+    (out, n)
+}
+
+/// Enters a parked warp's slots into its SM's crowd, under the phase of
+/// its current projection.
+fn register(crowd: &mut Crowd, p: &mut SpinFf, wid: u32) {
+    p.phase = crowd::phase(p.next_tick, offset(p, p.idx), p.period);
+    let (slots, n) = warp_slots(p, wid);
+    crowd.insert(&slots[..n], p.period, p.next_tick);
+}
+
+/// Re-enters a parked warp whose projection just left its lattice (it
+/// issued later than projected).
+fn reregister(crowd: &mut Crowd, p: &mut SpinFf, wid: u32) {
+    unregister(crowd, p, wid);
+    register(crowd, p, wid);
+}
+
+/// Takes a parked warp's slots, under its registered phase, out of its
+/// SM's crowd.
+fn unregister(crowd: &mut Crowd, p: &SpinFf, wid: u32) {
+    let (slots, n) = warp_slots(p, wid);
+    crowd.remove(&slots[..n], p.period);
+}
+
+/// Debug check: the SM's incremental crowd equals a recount from scratch.
+#[cfg(debug_assertions)]
+fn check_crowd(f: &SmFf, spin: &[SpinState]) {
+    let mut slots = Vec::new();
+    let mut periods: Vec<(u64, u32)> = Vec::new();
+    for &w in &f.parked {
+        let SpinState::Parked(p) = &spin[w as usize] else {
+            panic!("warp {w} is listed as parked but is not");
+        };
+        assert_eq!(
+            p.phase,
+            crowd::phase(p.next_tick, offset(p, p.idx), p.period),
+            "warp {w} left its lattice without re-registering"
+        );
+        let (s, n) = warp_slots(p, w);
+        slots.extend_from_slice(&s[..n]);
+        match periods.iter_mut().find(|(q, _)| *q == p.period) {
+            Some((_, c)) => *c += 1,
+            None => periods.push((p.period, 1)),
+        }
+    }
+    f.crowd.assert_matches(slots, periods);
+}
+
+#[cfg(not(debug_assertions))]
+#[inline(always)]
+fn check_crowd(_f: &SmFf, _spin: &[SpinState]) {}
+
+/// Accounts one virtual instruction of parked warp `p` issued at tick `u`
+/// and moves its cursor on. Returns the stall gap before the issue and the
+/// step issued.
+#[inline]
+fn issue_visit(
+    p: &mut SpinFf,
+    u: u64,
+    stats: &mut LaunchStats,
+    free: &mut u64,
+    last_issue: &mut u64,
+    end_tick: &mut u64,
+) -> (u64, SigStep) {
+    let s = p.sig[p.idx];
+    let mut run = Run::default();
+    run.issue(p, u);
+    *free = u + 1;
+    (run.flush(stats, last_issue, end_tick), s)
+}
+
+/// The hang a virtual issue at tick `u` would report, checked at the
+/// issue tick exactly like the real loop.
+#[inline]
+fn hang_at(u: u64, last_progress: u64, max_ticks: u64, deadlock_ticks: u64) -> Option<FfHang> {
+    if u > max_ticks {
+        Some(FfHang {
+            timeout: true,
+            tick: u,
+        })
+    } else if u.saturating_sub(last_progress) > deadlock_ticks {
+        Some(FfHang {
+            timeout: false,
+            tick: u,
+        })
+    } else {
+        None
+    }
+}
+
+/// Advances every parked warp of one SM through all its visits strictly
+/// below tick `end`, in one closed form. Valid when the SM's crowd shares
+/// one period, no two slots collide and no warp is displaced: then every
+/// visit lands exactly at its projected slot, and two facts make the merged
+/// schedule computable without interleaving. Each warp's slots are an
+/// arithmetic progression of its own loop, and the stall gaps of the
+/// *merged* issue sequence telescope (see [`Run`]) whichever warp owns
+/// which slot. Returns the instructions accounted.
+fn crowd_batch(
+    spin: &mut [SpinState],
+    parked: &[u32],
+    end: u64,
+    stats: &mut LaunchStats,
+    free: &mut u64,
+    last_issue: &mut u64,
+    end_tick: &mut u64,
+) -> u64 {
+    let mut run = Run::default();
+    for &wid in parked {
+        let SpinState::Parked(p) = &mut spin[wid as usize] else {
+            unreachable!("listed warp is parked");
+        };
+        if p.next_tick >= end {
+            continue;
+        }
+        // Whole loop iterations strictly below `end`, then the tail.
+        run.iterations(p, end);
+        while p.next_tick < end {
+            run.issue(p, p.next_tick);
+        }
+    }
+    let n = run.n;
+    if n > 0 {
+        *free = run.last + 1;
+    }
+    run.flush(stats, last_issue, end_tick);
+    n
+}
+
+/// Virtual instructions of one SM's parked warps, accounted at once. Their
+/// issue ticks are distinct and all follow the SM's last issue `L`, so
+/// their stall gaps telescope: for issues at `u_1 < … < u_n`, in whatever
+/// order they were added, the gaps sum to `(u_n − L) − n`.
+#[derive(Default)]
+struct Run {
+    n: u64,
+    threads: u64,
     flops: u64,
     l2: u64,
     polls: u64,
-    threads: u64,
-    u_last: u64,
+    last: u64,
     end: u64,
-    new_tick: u64,
-    new_idx: usize,
 }
 
-/// Attempts to advance *all* parked warps of one SM below `bound_tick` in
-/// one closed form. This is the crowd analogue of the single-warp batch in
-/// [`ff_advance`]: that batch dies whenever another parked warp's visit is
-/// near (the runner-up horizon), which on a crowded SM is every iteration,
-/// so the advance degenerates to one heap round-trip per virtual
-/// instruction. But if every parked warp spins with the *same* period and
-/// their issue slots are pairwise disjoint modulo it, the whole window is
-/// displacement-free — each visit lands exactly at its projected slot, no
-/// slot is contested — and two facts make the merged schedule computable
-/// without interleaving: each warp's slots are an arithmetic progression
-/// of its own signature, and the stall gaps of the *merged* issue sequence
-/// still telescope (for issues at `u_1 < … < u_n` after an issue at `L`,
-/// the gaps sum to `(u_n − L) − n` no matter which warp owns which slot).
-/// Residue disjointness is not a lucky accident: a slot collision makes
-/// replay displace the higher-id warp by one slot, permanently shifting
-/// its phase, so colliding crowds self-heal into disjointness and stay
-/// there. Transients (a pending displacement, unequal periods, a collision)
-/// bail to the caller's per-visit path before anything is mutated.
-///
-/// Returns true if any virtual instruction was accounted.
+impl Run {
+    /// Issues `p`'s next step at tick `u` and moves its cursor on.
+    #[inline]
+    fn issue(&mut self, p: &mut SpinFf, u: u64) {
+        let s = &p.sig[p.idx];
+        self.n += 1;
+        self.threads += p.lanes;
+        self.flops += s.flops;
+        self.l2 += s.l2_hits as u64;
+        self.polls += s.poll_fails as u64;
+        self.last = self.last.max(u);
+        self.end = self.end.max(u + s.cost);
+        p.next_tick = u + s.cost;
+        p.idx = (p.idx + 1) % p.sig.len();
+    }
+
+    /// Issues as many whole loop iterations of `p`, starting at its
+    /// projected visit, as issue strictly below tick `end`, and moves its
+    /// cursor past them (its loop step is unchanged).
+    #[inline]
+    fn iterations(&mut self, p: &mut SpinFf, end: u64) {
+        let (v, len) = (p.next_tick, p.sig.len());
+        let off_last = p.period - p.sig[(p.idx + len - 1) % len].cost;
+        if end <= v.saturating_add(off_last) {
+            return;
+        }
+        let q = (end - 1 - off_last - v) / p.period + 1;
+        let n = q * len as u64;
+        self.n += n;
+        self.threads += n * p.lanes;
+        self.flops += p.cyc_flops * q;
+        self.l2 += p.cyc_l2 * q;
+        self.polls += p.cyc_polls * q;
+        self.last = self.last.max(v + (q - 1) * p.period + off_last);
+        self.end = self.end.max(v + q * p.period);
+        p.next_tick = v + q * p.period;
+    }
+
+    /// Adds the run to the launch's counters and empties it. Returns the
+    /// stall ticks it added.
+    fn flush(&mut self, stats: &mut LaunchStats, last_issue: &mut u64, end_tick: &mut u64) -> u64 {
+        if self.n == 0 {
+            return 0;
+        }
+        let stall = self.last.saturating_sub(*last_issue).saturating_sub(self.n);
+        sat_add(&mut stats.issue_ticks, self.n);
+        sat_add(&mut stats.warp_instructions, self.n);
+        sat_add(&mut stats.thread_instructions, self.threads);
+        sat_add(&mut stats.flops, self.flops);
+        sat_add(&mut stats.l2_hits, self.l2);
+        sat_add(&mut stats.failed_polls, self.polls);
+        sat_add(&mut stats.stall_ticks, stall);
+        *last_issue = self.last;
+        *end_tick = (*end_tick).max(self.end);
+        *self = Run::default();
+        stall
+    }
+}
+
+/// Advances the parked warps of an SM whose crowd shares one period up to
+/// (excluding) the scheduler key `bound`, walking the sorted slot residues
+/// instead of a visit heap. The walk reproduces the per-visit rule exactly:
+/// visits due at or below the issue cursor `free` join the ready row and
+/// issue at `free` in warp-id order (a displaced warp then re-registers
+/// under its new phase); otherwise the first live slot issues at its tick.
+/// A slot is live iff it is its warp's projected visit; slots a warp has
+/// passed, or that belong to a warp on the ready row, are skipped. With no
+/// collision and no ready warp, a window of at least one period goes to
+/// [`crowd_batch`].
 #[allow(clippy::too_many_arguments)]
-fn ff_mw_batch(
+fn crowd_advance(
     spin: &mut [SpinState],
-    parked: &[u32],
-    visit: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    ready: &mut Vec<u32>,
-    plans: &mut Vec<MwPlan>,
-    res: &mut Vec<u64>,
-    bound_tick: u64,
+    f: &mut SmFf,
+    period: u64,
+    bound: (u64, u32),
     stats: &mut LaunchStats,
-    sm_next_free: &mut u64,
-    sm_last_issue: &mut u64,
+    ctr: &mut FfCounters,
+    free: &mut u64,
+    last_issue: &mut u64,
     end_tick: &mut u64,
     last_progress: u64,
     max_ticks: u64,
     deadlock_ticks: u64,
-) -> bool {
-    let free = *sm_next_free;
-    // Hang thresholds cap the window exactly like the per-visit path: the
-    // first visit at or past a threshold is left for that path to turn
-    // into the error at the same tick replay would report.
-    let lim = bound_tick.min(max_ticks.saturating_add(1)).min(
+) -> Result<(), FfHang> {
+    if !f.crowd.walk {
+        // Switching over from the per-visit path: the walk starts at the
+        // earliest projection off the ready row.
+        f.crowd.walk = true;
+        let from = f
+            .parked
+            .iter()
+            .filter_map(|&w| match &spin[w as usize] {
+                SpinState::Parked(p) if !p.ready => Some(p.next_tick),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(*free);
+        f.crowd.restart(from);
+    }
+    // Nothing due below the bound.
+    if f.ready.is_empty() {
+        if let Some(nx) = f.crowd.next {
+            if nx.0 > *free && nx >= bound {
+                return Ok(());
+            }
+        }
+    }
+    let hang_lim = max_ticks.saturating_add(1).min(
         last_progress
             .saturating_add(deadlock_ticks)
             .saturating_add(1),
     );
-    if lim <= free {
-        return false;
-    }
-    // Cheap qualifying pass: the crowd form needs at least two parked
-    // warps, one shared period, and no pending displacement (a stored
-    // projection below the cursor; ready-row staleness is exactly that).
-    // Bailing here costs a few field reads per parked warp.
-    let mut period = 0u64;
-    let mut m = 0usize;
-    for &wid in parked {
-        let SpinState::Parked(p) = &spin[wid as usize] else {
-            continue;
-        };
-        m += 1;
-        if p.next_tick < free {
-            return false;
-        }
-        if period == 0 {
-            period = p.period;
-        } else if p.period != period {
-            return false;
-        }
-    }
-    if m < 2 || period == 0 {
-        return false;
-    }
-    // A window shorter than one iteration holds a handful of visits at
-    // most; planning costs more than letting the per-visit path run them.
-    if lim - free < period {
-        return false;
-    }
-    plans.clear();
-    res.clear();
-    for &wid in parked {
-        let SpinState::Parked(p) = &spin[wid as usize] else {
-            continue;
-        };
-        let l = p.sig.len();
-        let v = p.next_tick;
-        // Cycle aggregates, slot residues, and the relative offsets of the
-        // last issue (`off_last`) and latest completion (`moff`) per cycle.
-        let (mut off, mut cyc_fl, mut cyc_l2, mut cyc_pf) = (0u64, 0u64, 0u64, 0u64);
-        let mut moff = 0u64;
-        for i in 0..l {
-            let s = &p.sig[(p.idx + i) % l];
-            res.push((v + off) % period);
-            moff = moff.max(off + s.cost);
-            cyc_fl += s.flops;
-            cyc_l2 += s.l2_hits as u64;
-            cyc_pf += s.poll_fails as u64;
-            off += s.cost;
-        }
-        if off != period {
-            return false;
-        }
-        let off_last = period - p.sig[(p.idx + l - 1) % l].cost;
-        // Whole cycles strictly below the window, then the partial tail.
-        let q = if lim > v.saturating_add(off_last) {
-            (lim - 1 - off_last - v) / period + 1
-        } else {
-            0
-        };
-        let mut steps = q * l as u64;
-        let mut fl = cyc_fl * q;
-        let mut l2 = cyc_l2 * q;
-        let mut pf = cyc_pf * q;
-        let (mut u_last, mut end) = if q > 0 {
-            (v + (q - 1) * period + off_last, v + (q - 1) * period + moff)
-        } else {
-            (0, 0)
-        };
-        let mut slot = v + q * period;
-        let mut i = p.idx;
-        let mut cnt = 0;
-        while slot < lim && cnt < l {
-            let s = &p.sig[i];
-            u_last = slot;
-            end = end.max(slot + s.cost);
-            steps += 1;
-            fl += s.flops;
-            l2 += s.l2_hits as u64;
-            pf += s.poll_fails as u64;
-            slot += s.cost;
-            i = (i + 1) % l;
-            cnt += 1;
-        }
-        if slot < lim {
-            // Zero-cost signature steps; replay it rather than loop.
-            return false;
-        }
-        plans.push(MwPlan {
-            wid,
-            steps,
-            flops: fl,
-            l2,
-            polls: pf,
-            threads: steps * p.lanes,
-            u_last,
-            end,
-            new_tick: slot,
-            new_idx: i,
-        });
-    }
-    res.sort_unstable();
-    if res.windows(2).any(|w| w[0] == w[1]) {
-        return false;
-    }
-    let n: u64 = plans.iter().map(|pl| pl.steps).sum();
-    if n == 0 {
-        return false;
-    }
-    let mut u_last = 0u64;
-    for pl in plans.iter() {
-        if pl.steps == 0 {
-            continue;
-        }
-        u_last = u_last.max(pl.u_last);
-        *end_tick = (*end_tick).max(pl.end);
-        sat_add(&mut stats.issue_ticks, pl.steps);
-        sat_add(&mut stats.warp_instructions, pl.steps);
-        sat_add(&mut stats.thread_instructions, pl.threads);
-        sat_add(&mut stats.flops, pl.flops);
-        sat_add(&mut stats.l2_hits, pl.l2);
-        sat_add(&mut stats.failed_polls, pl.polls);
-        let SpinState::Parked(p) = &mut spin[pl.wid as usize] else {
-            unreachable!("planned warp is parked");
-        };
-        p.next_tick = pl.new_tick;
-        p.idx = pl.new_idx;
-        if p.ready {
-            p.ready = false;
-            if let Ok(pos) = ready.binary_search(&pl.wid) {
-                ready.remove(pos);
+    let mut run = Run::default();
+    loop {
+        // Visits due below the issue cursor join the ready row, and so do
+        // visits due at it while the row is non-empty. (With the row empty,
+        // the first visit due at the cursor issues at its own tick, which
+        // is what the row would do with it.)
+        let (mut u, mut s) = loop {
+            let (u, s) = f.crowd.current(period);
+            if u > *free || (u == *free && f.ready.is_empty()) {
+                break (u, s);
             }
+            let SpinState::Parked(p) = &mut spin[s.wid as usize] else {
+                unreachable!("slot owner is parked");
+            };
+            if !p.ready && u == p.next_tick {
+                p.ready = true;
+                if let Err(pos) = f.ready.binary_search(&s.wid) {
+                    f.ready.insert(pos, s.wid);
+                }
+            }
+            f.crowd.advance(period);
+        };
+        if let Some(&w) = f.ready.first() {
+            run.flush(stats, last_issue, end_tick);
+            let u0 = *free;
+            if (u0, w) >= bound {
+                return Ok(());
+            }
+            if let Some(h) = hang_at(u0, last_progress, max_ticks, deadlock_ticks) {
+                return Err(h);
+            }
+            f.ready.remove(0);
+            let SpinState::Parked(p) = &mut spin[w as usize] else {
+                unreachable!("ready warp is parked");
+            };
+            p.ready = false;
+            let moved = p.next_tick != u0;
+            issue_visit(p, u0, stats, free, last_issue, end_tick);
+            ctr.walk_instructions += 1;
+            if moved {
+                reregister(&mut f.crowd, p, w);
+                check_crowd(f, spin);
+            }
+            continue;
         }
-        visit.push(Reverse((pl.new_tick, pl.wid)));
+        // The first live slot at or past the issue cursor issues next.
+        loop {
+            let SpinState::Parked(p) = &spin[s.wid as usize] else {
+                unreachable!("slot owner is parked");
+            };
+            let live = !p.ready && u == p.next_tick;
+            debug_assert!(p.ready || u <= p.next_tick, "walk passed a projection");
+            if (u, s.wid) >= bound {
+                f.crowd.next = live.then_some((u, s.wid));
+                run.flush(stats, last_issue, end_tick);
+                return Ok(());
+            }
+            if live {
+                break;
+            }
+            f.crowd.advance(period);
+            (u, s) = f.crowd.current(period);
+        }
+        if let Some(h) = hang_at(u, last_progress, max_ticks, deadlock_ticks) {
+            run.flush(stats, last_issue, end_tick);
+            return Err(h);
+        }
+        let end = bound.0.min(hang_lim);
+        if !f.crowd.collides() && end - u >= period {
+            run.flush(stats, last_issue, end_tick);
+            let n = crowd_batch(spin, &f.parked, end, stats, free, last_issue, end_tick);
+            ctr.crowd_advances += 1;
+            ctr.closed_form_instructions += n;
+            f.crowd.restart(end);
+            continue;
+        }
+        let SpinState::Parked(p) = &mut spin[s.wid as usize] else {
+            unreachable!("slot owner is parked");
+        };
+        debug_assert_eq!(p.idx, s.step as usize);
+        run.issue(p, u);
+        *free = u + 1;
+        ctr.walk_instructions += 1;
+        f.crowd.advance(period);
     }
-    stats.stall_ticks = stats
-        .stall_ticks
-        .saturating_add((u_last - *sm_last_issue).saturating_sub(n));
-    *sm_last_issue = u_last;
-    *sm_next_free = u_last + 1;
-    true
 }
 
 /// Advances parked warps' virtual execution up to (excluding) the
@@ -616,23 +844,22 @@ fn ff_mw_batch(
 /// the advance to one SM (valid whenever no global ordering is observed:
 /// all reconstructed quantities commute across SMs); traced launches pass
 /// `None` so `TraceEvent`s come out in schedule order. When `batch_ok`
-/// (neither profiling nor tracing wants per-instruction events), whole
-/// iterations are accounted in closed form: the stall gaps of consecutive
-/// issues telescope — for issues at `u_1 < … < u_n` on one SM following an
-/// issue at `L`, the gaps sum to `(u_n − L) − n`.
+/// (neither profiling nor tracing wants per-instruction events), an SM
+/// whose crowd shares one period is walked along its slot residues
+/// ([`crowd_advance`]); otherwise visits come off the SM's visit heap one
+/// at a time. Profiled and traced launches always take the heap, which
+/// makes them the reference the walk and its closed form are checked
+/// against.
 #[allow(clippy::too_many_arguments)]
 fn ff_advance<K: WarpKernel>(
     kernel: &K,
     spin: &mut [SpinState],
-    sm_parked: &[Vec<u32>],
-    sm_visit: &mut [BinaryHeap<Reverse<(u64, u32)>>],
-    sm_ready: &mut [Vec<u32>],
-    mw_plans: &mut Vec<MwPlan>,
-    mw_res: &mut Vec<u64>,
+    sm_ff: &mut [SmFf],
     sm_filter: Option<usize>,
     bound: (u64, u32),
     batch_ok: bool,
     stats: &mut LaunchStats,
+    ctr: &mut FfCounters,
     prof: &mut Option<Profiler>,
     trace: &mut Option<&mut Trace>,
     sm_next_free: &mut [u64],
@@ -649,20 +876,20 @@ fn ff_advance<K: WarpKernel>(
     fn live(spin: &[SpinState], tk: u64, w: u32) -> bool {
         matches!(&spin[w as usize], SpinState::Parked(p) if p.next_tick == tk)
     }
-    // Try the whole-crowd closed form once per advance; transients fall
-    // back to the per-visit loop below and re-qualify on the next call.
-    if batch_ok {
-        if let Some(s) = sm_filter {
-            if sm_parked[s].len() >= 2 {
-                ff_mw_batch(
+    if let Some(s) = sm_filter {
+        let f = &mut sm_ff[s];
+        if f.parked.is_empty() {
+            return Ok(());
+        }
+        if batch_ok {
+            if let Some(period) = f.crowd.period() {
+                return crowd_advance(
                     spin,
-                    &sm_parked[s],
-                    &mut sm_visit[s],
-                    &mut sm_ready[s],
-                    mw_plans,
-                    mw_res,
-                    bound.0,
+                    f,
+                    period,
+                    bound,
                     stats,
+                    ctr,
                     &mut sm_next_free[s],
                     &mut sm_last_issue[s],
                     end_tick,
@@ -672,19 +899,31 @@ fn ff_advance<K: WarpKernel>(
                 );
             }
         }
+        if f.crowd.walk {
+            // The walk left the visit heap stale: rebuild it.
+            f.crowd.walk = false;
+            f.visit.clear();
+            for &w in &f.parked {
+                if let SpinState::Parked(p) = &spin[w as usize] {
+                    if !p.ready {
+                        f.visit.push(Reverse((p.next_tick, w)));
+                    }
+                }
+            }
+        }
     }
     loop {
-        // Lex-least (next_tick, warp) among candidate parked warps, plus
-        // the runner-up tick (the batching horizon).
-        let (u0, wid, runner_up) = match sm_filter {
+        // Lex-least (next_tick, warp) among candidate parked warps.
+        let (u0, wid) = match sm_filter {
             Some(s) => {
                 // Single-SM advance. Visit keys due at or below the SM
                 // issue cursor move onto the ready row, where the crowd
                 // issues in warp-id order — the order the replay heap
                 // produces for same-tick displaced entries — without being
                 // re-keyed every slot the cursor advances past.
-                let h = &mut sm_visit[s];
-                let r = &mut sm_ready[s];
+                let SmFf {
+                    visit: h, ready: r, ..
+                } = &mut sm_ff[s];
                 let free = sm_next_free[s];
                 while let Some(&Reverse((tk, w))) = h.peek() {
                     if !live(spin, tk, w) {
@@ -705,34 +944,20 @@ fn ff_advance<K: WarpKernel>(
                 }
                 // A ready-row warp issues at the cursor; every remaining
                 // visit key is strictly later, so the row front (lowest
-                // warp id) wins whenever the row is non-empty. Another
-                // ready warp caps the batching horizon at the pick itself
-                // (it issues in the very next slot); otherwise the next
-                // timed visit does. A timed pick consumes its key — the
-                // advance below pushes the successor.
+                // warp id) wins whenever the row is non-empty. A timed pick
+                // consumes its key — the advance below pushes the
+                // successor.
                 if let Some(&w0) = r.first() {
                     if (free, w0) >= bound {
                         return Ok(());
                     }
-                    let runner_up = if r.len() > 1 {
-                        free
-                    } else {
-                        h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk)
-                    };
-                    (free, w0, runner_up)
+                    (free, w0)
                 } else if let Some(&Reverse((tk0, w0))) = h.peek() {
                     if (tk0, w0) >= bound {
                         return Ok(());
                     }
                     h.pop();
-                    while let Some(&Reverse((tk, w))) = h.peek() {
-                        if live(spin, tk, w) {
-                            break;
-                        }
-                        h.pop();
-                    }
-                    let runner_up = h.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk);
-                    (tk0, w0, runner_up)
+                    (tk0, w0)
                 } else {
                     return Ok(());
                 }
@@ -741,121 +966,64 @@ fn ff_advance<K: WarpKernel>(
                 // Global (traced) advance: scan every SM's parked list so
                 // events come out in schedule order. The candidate's stale
                 // key stays in its visit heap and is dropped lazily.
-                let mut pick: Option<(u64, u32)> = None;
-                let mut runner_up = u64::MAX;
-                for lst in sm_parked {
-                    for &wid in lst {
-                        if let SpinState::Parked(p) = &spin[wid as usize] {
-                            let p_next = p.next_tick;
-                            match pick {
-                                None => pick = Some((p_next, wid)),
-                                Some(cur) => {
-                                    if (p_next, wid) < cur {
-                                        runner_up = runner_up.min(cur.0);
-                                        pick = Some((p_next, wid));
-                                    } else {
-                                        runner_up = runner_up.min(p_next);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+                let pick = sm_ff
+                    .iter()
+                    .flat_map(|f| &f.parked)
+                    .filter_map(|&wid| match &spin[wid as usize] {
+                        SpinState::Parked(p) => Some((p.next_tick, wid)),
+                        _ => None,
+                    })
+                    .min();
                 let Some((u0, wid)) = pick else {
                     return Ok(());
                 };
                 if (u0, wid) >= bound {
                     return Ok(());
                 }
-                (u0, wid, runner_up)
+                (u0, wid)
             }
         };
         let SpinState::Parked(p) = &mut spin[wid as usize] else {
             unreachable!("candidate is parked");
         };
         let sm = p.sm;
+        let f = &mut sm_ff[sm];
         // Same displacement rule as a popped heap event.
         if sm_next_free[sm] > u0 {
             p.next_tick = sm_next_free[sm];
-            sm_visit[sm].push(Reverse((p.next_tick, wid)));
+            reregister(&mut f.crowd, p, wid);
+            f.visit.push(Reverse((p.next_tick, wid)));
+            check_crowd(f, spin);
             continue;
         }
-        // Hang thresholds, checked at the issue tick like the real loop.
-        if u0 > max_ticks {
-            return Err(FfHang {
-                timeout: true,
-                tick: u0,
-            });
-        }
-        if u0.saturating_sub(last_progress) > deadlock_ticks {
-            return Err(FfHang {
-                timeout: false,
-                tick: u0,
-            });
+        if let Some(h) = hang_at(u0, last_progress, max_ticks, deadlock_ticks) {
+            return Err(h);
         }
         // Committed to issuing: a ready-row warp leaves the row (the
-        // successor visit key re-enters through the heap).
+        // successor visit key re-enters through the heap) and, if it
+        // issues later than projected, leaves its lattice.
         if p.ready {
             p.ready = false;
-            let r = &mut sm_ready[sm];
-            if let Ok(pos) = r.binary_search(&wid) {
-                r.remove(pos);
+            if let Ok(pos) = f.ready.binary_search(&wid) {
+                f.ready.remove(pos);
             }
         }
-        let len = p.sig.len();
-        if batch_ok {
-            // Closed form: as many whole iterations as fit strictly below
-            // the horizon. Below `bound` this SM is exclusively ours (the
-            // heap has no earlier event), so the telescoped stall formula
-            // applies verbatim.
-            let last_i = (p.idx + len - 1) % len;
-            let off_last = p.period - p.sig[last_i].cost;
-            let lim = bound.0.min(runner_up).min(max_ticks.saturating_add(1)).min(
-                last_progress
-                    .saturating_add(deadlock_ticks)
-                    .saturating_add(1),
-            );
-            if lim > u0.saturating_add(off_last) {
-                let k = (lim - 1 - off_last - u0) / p.period + 1;
-                let n = k * len as u64;
-                let u_last = u0 + (k - 1) * p.period + off_last;
-                sat_add(&mut stats.issue_ticks, n);
-                sat_add(&mut stats.warp_instructions, n);
-                sat_add(&mut stats.thread_instructions, n * p.lanes);
-                let (mut fl, mut l2, mut pf) = (0u64, 0u64, 0u64);
-                for s in &p.sig {
-                    fl += s.flops;
-                    l2 += s.l2_hits as u64;
-                    pf += s.poll_fails as u64;
-                }
-                sat_add(&mut stats.flops, fl * k);
-                sat_add(&mut stats.l2_hits, l2 * k);
-                sat_add(&mut stats.failed_polls, pf * k);
-                stats.stall_ticks = stats
-                    .stall_ticks
-                    .saturating_add((u_last - sm_last_issue[sm]).saturating_sub(n));
-                sm_last_issue[sm] = u_last;
-                sm_next_free[sm] = u_last + 1;
-                *end_tick = (*end_tick).max(u_last + p.sig[last_i].cost);
-                p.next_tick = u0 + k * p.period;
-                sm_visit[sm].push(Reverse((p.next_tick, wid)));
-                continue;
-            }
+        let moved = p.next_tick != u0;
+        if moved {
+            p.next_tick = u0;
+            reregister(&mut f.crowd, p, wid);
         }
         // One virtual instruction, mirroring the real issue path.
-        let s = p.sig[p.idx];
-        sat_add(&mut stats.issue_ticks, 1);
-        let gap = u0.saturating_sub(sm_last_issue[sm]).saturating_sub(1);
-        stats.stall_ticks = stats.stall_ticks.saturating_add(gap);
-        sm_last_issue[sm] = u0;
-        sm_next_free[sm] = u0 + 1;
-        sat_add(&mut stats.warp_instructions, 1);
-        sat_add(&mut stats.thread_instructions, p.lanes);
-        sat_add(&mut stats.flops, s.flops);
-        sat_add(&mut stats.l2_hits, s.l2_hits as u64);
-        sat_add(&mut stats.failed_polls, s.poll_fails as u64);
+        let (gap, s) = issue_visit(
+            p,
+            u0,
+            stats,
+            &mut sm_next_free[sm],
+            &mut sm_last_issue[sm],
+            end_tick,
+        );
+        ctr.heap_visit_instructions += 1;
         let t_done = u0 + s.cost;
-        *end_tick = (*end_tick).max(t_done);
         if let Some(pr) = prof.as_mut() {
             pr.on_issue(
                 sm,
@@ -879,404 +1047,42 @@ fn ff_advance<K: WarpKernel>(
                 mask: p.mask,
             });
         }
-        p.idx = (p.idx + 1) % len;
-        p.next_tick = t_done;
-        sm_visit[sm].push(Reverse((t_done, wid)));
+        f.visit.push(Reverse((t_done, wid)));
+        if moved {
+            check_crowd(f, spin);
+        }
     }
 }
 
-// --- Eager cluster advancement (DESIGN.md §11) ---------------------------
-//
-// With `engine_threads > 1` the scheduler is already split into per-cluster
-// heaps (pop order unchanged — see cluster.rs); the parallelism itself
-// comes from advancing *parked* warps of lagging SMs on worker threads
-// while the coordinator sits at a pop. The work a worker does for an SM is
-// exactly a prefix of the work the serial engine's next inline
-// `ff_advance(Some(sm), bound')` with `bound' >= bound` would do — so
-// applying it early changes nothing observable. The prefix property needs
-// one eligibility rule (a scheduled kick, see `eager_eligible`) and one
-// clamp rule (hang thresholds stop *before* the offending visit, see
-// `eager_advance_sm`); everything else is bookkeeping.
-
-/// Pops between eager-advance attempts, adaptively widened while no
-/// eligible work shows up. Any cadence is *correct* (eager work is a
-/// prefix of pending serial work regardless of when it runs); the knobs
-/// only trade scan overhead against parallel coverage.
-const EAGER_GAP_MIN: u32 = 64;
-const EAGER_GAP_MAX: u32 = 4096;
-
-/// Minimum tick lag between an SM's next parked visit and the horizon
-/// before a worker dispatch is worthwhile; below this the inline advance
-/// at the next pop handles it cheaper than a thread round-trip.
-const EAGER_LAG: u64 = 512;
-
-/// Hang thresholds for eager advancement (copies of the serial loop's
-/// values at dispatch time).
-#[derive(Clone, Copy)]
-struct EagerLimits {
-    last_progress: u64,
-    max_ticks: u64,
-    deadlock_ticks: u64,
-}
-
-/// Whether an SM holds parked-warp work a cluster worker may run below
-/// `bound`. The kick requirement is the load-bearing safety rule: a parked
-/// warp's scheduled kick keeps a live entry in the event schedule at a key
-/// at or past the current pop, which *guarantees* a future inline
-/// `ff_advance` for this SM with a covering bound before anything can
-/// observe the SM's counters, end tick, or cursors (error payloads read
-/// none of them; the drained-schedule deadlock path cannot fire while the
-/// kick entry lives). A kickless SM has no such promise, so it is left to
-/// the serial paths entirely.
-fn eager_eligible(
+/// The launch error for a hang detected while fast-forwarding.
+fn hang_error<L>(
+    h: FfHang,
+    kernel: &'static str,
+    max_cycles: u64,
+    warps: &[Option<WarpRt<L>>],
     spin: &[SpinState],
-    parked: &[u32],
-    visit: &BinaryHeap<Reverse<(u64, u32)>>,
-    ready: &[u32],
-    free: u64,
-    bound: (u64, u32),
-) -> bool {
-    if parked.is_empty() {
-        return false;
-    }
-    let lagging = match (ready.first(), visit.peek()) {
-        (Some(&w), _) => (free, w) < bound && bound.0 - free >= EAGER_LAG,
-        (None, Some(&Reverse((tk, w)))) => (tk, w) < bound && bound.0 - tk >= EAGER_LAG,
-        (None, None) => false,
-    };
-    lagging
-        && parked
-            .iter()
-            .any(|&w| matches!(&spin[w as usize], SpinState::Parked(p) if p.kick.is_some()))
-}
-
-/// Advances one SM's parked warps below `bound` on a cluster worker: the
-/// shadow-cursor mirror of [`ff_advance`]'s single-SM path, minus the
-/// crowd batch (skipping it is pure perf — batched and per-visit
-/// accounting are identical, which the engine_batch calibration pins).
-/// The worker reads the shared spin table but never writes it: cursor
-/// state lives in [`Shadow`]s, counter partial sums in `es.stats`
-/// (saturating adds keep the later merge order-independent), and touched
-/// cursors queue on `es.updates` for the coordinator's serial apply. Hang
-/// thresholds *clamp* — the visit that would cross one is left in place
-/// for the in-order engine, which consumes the identical remainder and
-/// reports the identical error; clamping with this horizon's
-/// `last_progress` (≤ the value at the covering inline advance) can only
-/// stop earlier, never later.
-#[allow(clippy::too_many_arguments)]
-fn eager_advance_sm(
-    spin: &[SpinState],
-    parked: &[u32],
-    visit: &mut BinaryHeap<Reverse<(u64, u32)>>,
-    ready: &mut Vec<u32>,
-    next_free: &mut u64,
-    last_issue: &mut u64,
-    es: &mut EagerScratch,
-    bound: (u64, u32),
-    lim: EagerLimits,
-) {
-    es.shadows.clear();
-    for &w in parked {
-        if let SpinState::Parked(p) = &spin[w as usize] {
-            es.shadows.push(Shadow {
-                wid: w,
-                idx: p.idx,
-                next_tick: p.next_tick,
-                ready: p.ready,
-                touched: false,
-            });
+    last_progress_cycle: u64,
+    tpc: u64,
+) -> SimtError {
+    let live_warps = warps.iter().filter(|w| w.is_some()).count();
+    let warps = snapshot_warps(warps, spin);
+    if h.timeout {
+        SimtError::Timeout {
+            kernel,
+            max_cycles,
+            live_warps,
+            last_progress_cycle,
+            warps,
+        }
+    } else {
+        SimtError::Deadlock {
+            kernel,
+            cycle: h.tick / tpc,
+            live_warps,
+            last_progress_cycle,
+            warps,
         }
     }
-    fn pos_of(shadows: &[Shadow], w: u32) -> Option<usize> {
-        shadows.iter().position(|s| s.wid == w)
-    }
-    loop {
-        let free = *next_free;
-        // Absorb due visit keys onto the ready row. A key is live iff it
-        // matches the warp's current projection — the same rule as
-        // `ff_advance`, read through the shadow instead of the spin table.
-        while let Some(&Reverse((tk, w))) = visit.peek() {
-            match pos_of(&es.shadows, w) {
-                Some(si) if es.shadows[si].next_tick == tk => {
-                    if tk > free {
-                        break;
-                    }
-                    visit.pop();
-                    es.shadows[si].ready = true;
-                    es.shadows[si].touched = true;
-                    if let Err(pos) = ready.binary_search(&w) {
-                        ready.insert(pos, w);
-                    }
-                }
-                _ => {
-                    visit.pop();
-                }
-            }
-        }
-        // Pick the next virtual issue exactly as `ff_advance` would.
-        let (u0, wid, runner_up, timed) = if let Some(&w0) = ready.first() {
-            if (free, w0) >= bound {
-                break;
-            }
-            let ru = if ready.len() > 1 {
-                free
-            } else {
-                visit.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk)
-            };
-            (free, w0, ru, false)
-        } else if let Some(&Reverse((tk0, w0))) = visit.peek() {
-            if (tk0, w0) >= bound {
-                break;
-            }
-            visit.pop();
-            while let Some(&Reverse((tk, w))) = visit.peek() {
-                let is_live =
-                    matches!(pos_of(&es.shadows, w), Some(si) if es.shadows[si].next_tick == tk);
-                if is_live {
-                    break;
-                }
-                visit.pop();
-            }
-            let ru = visit.peek().map_or(u64::MAX, |&Reverse((tk, _))| tk);
-            (tk0, w0, ru, true)
-        } else {
-            break;
-        };
-        let si = pos_of(&es.shadows, wid).expect("candidate has a shadow");
-        // Same displacement rule as a popped heap event.
-        if free > u0 {
-            es.shadows[si].next_tick = free;
-            es.shadows[si].touched = true;
-            visit.push(Reverse((free, wid)));
-            continue;
-        }
-        // Hang clamp: put a consumed timed key back and stop before the
-        // visit the serial engine will turn into the error.
-        if u0 > lim.max_ticks || u0.saturating_sub(lim.last_progress) > lim.deadlock_ticks {
-            if timed {
-                visit.push(Reverse((u0, wid)));
-            }
-            break;
-        }
-        if es.shadows[si].ready {
-            es.shadows[si].ready = false;
-            if let Ok(pos) = ready.binary_search(&wid) {
-                ready.remove(pos);
-            }
-        }
-        let SpinState::Parked(p) = &spin[wid as usize] else {
-            unreachable!("candidate is parked");
-        };
-        let len = p.sig.len();
-        let idx = es.shadows[si].idx;
-        let stats = &mut es.stats;
-        // Closed form: whole iterations strictly below the horizon
-        // (identical arithmetic to `ff_advance`'s batch).
-        let last_i = (idx + len - 1) % len;
-        let off_last = p.period - p.sig[last_i].cost;
-        let lim_tick = bound
-            .0
-            .min(runner_up)
-            .min(lim.max_ticks.saturating_add(1))
-            .min(
-                lim.last_progress
-                    .saturating_add(lim.deadlock_ticks)
-                    .saturating_add(1),
-            );
-        if lim_tick > u0.saturating_add(off_last) {
-            let k = (lim_tick - 1 - off_last - u0) / p.period + 1;
-            let n = k * len as u64;
-            let u_last = u0 + (k - 1) * p.period + off_last;
-            sat_add(&mut stats.issue_ticks, n);
-            sat_add(&mut stats.warp_instructions, n);
-            sat_add(&mut stats.thread_instructions, n * p.lanes);
-            let (mut fl, mut l2, mut pf) = (0u64, 0u64, 0u64);
-            for s in &p.sig {
-                fl += s.flops;
-                l2 += s.l2_hits as u64;
-                pf += s.poll_fails as u64;
-            }
-            sat_add(&mut stats.flops, fl * k);
-            sat_add(&mut stats.l2_hits, l2 * k);
-            sat_add(&mut stats.failed_polls, pf * k);
-            sat_add(
-                &mut stats.stall_ticks,
-                (u_last - *last_issue).saturating_sub(n),
-            );
-            *last_issue = u_last;
-            *next_free = u_last + 1;
-            es.end_tick = es.end_tick.max(u_last + p.sig[last_i].cost);
-            es.shadows[si].next_tick = u0 + k * p.period;
-            es.shadows[si].touched = true;
-            visit.push(Reverse((es.shadows[si].next_tick, wid)));
-            continue;
-        }
-        // One virtual instruction.
-        let s = p.sig[idx];
-        sat_add(&mut stats.issue_ticks, 1);
-        let gap = u0.saturating_sub(*last_issue).saturating_sub(1);
-        sat_add(&mut stats.stall_ticks, gap);
-        *last_issue = u0;
-        *next_free = u0 + 1;
-        sat_add(&mut stats.warp_instructions, 1);
-        sat_add(&mut stats.thread_instructions, p.lanes);
-        sat_add(&mut stats.flops, s.flops);
-        sat_add(&mut stats.l2_hits, s.l2_hits as u64);
-        sat_add(&mut stats.failed_polls, s.poll_fails as u64);
-        let t_done = u0 + s.cost;
-        es.end_tick = es.end_tick.max(t_done);
-        es.shadows[si].idx = (idx + 1) % len;
-        es.shadows[si].next_tick = t_done;
-        es.shadows[si].touched = true;
-        visit.push(Reverse((t_done, wid)));
-    }
-    for sh in &es.shadows {
-        if sh.touched {
-            es.updates.push(*sh);
-        }
-    }
-}
-
-/// One cluster worker's pass: advance every eligible SM of the cluster.
-/// `visit`/`ready`/`next_free`/`last_issue` are this cluster's exclusive
-/// rows (indexed from `start`); `spin` and `sm_parked` are shared
-/// read-only views of global state.
-#[allow(clippy::too_many_arguments)]
-fn eager_advance_cluster(
-    spin: &[SpinState],
-    sm_parked: &[Vec<u32>],
-    start: usize,
-    visit: &mut [BinaryHeap<Reverse<(u64, u32)>>],
-    ready: &mut [Vec<u32>],
-    next_free: &mut [u64],
-    last_issue: &mut [u64],
-    es: &mut EagerScratch,
-    bound: (u64, u32),
-    lim: EagerLimits,
-) {
-    for i in 0..visit.len() {
-        let sm = start + i;
-        if !eager_eligible(
-            spin,
-            &sm_parked[sm],
-            &visit[i],
-            &ready[i],
-            next_free[i],
-            bound,
-        ) {
-            continue;
-        }
-        eager_advance_sm(
-            spin,
-            &sm_parked[sm],
-            &mut visit[i],
-            &mut ready[i],
-            &mut next_free[i],
-            &mut last_issue[i],
-            es,
-            bound,
-            lim,
-        );
-    }
-}
-
-/// Dispatches eager advancement across clusters for the current horizon:
-/// scans for eligible clusters, hands each its exclusive per-SM state rows
-/// on a scoped worker thread (inline when only one cluster has work), then
-/// applies the results serially in cluster order — partial counter sums
-/// merge saturatingly (order-independent, see `metrics::sat_add`) and
-/// touched shadow cursors write back into the spin table. Returns whether
-/// any work was done (feeds the adaptive cadence).
-#[allow(clippy::too_many_arguments)]
-fn eager_horizon_advance(
-    sched: &ClusterSched,
-    spin: &mut [SpinState],
-    sm_parked: &[Vec<u32>],
-    sm_visit: &mut [BinaryHeap<Reverse<(u64, u32)>>],
-    sm_ready: &mut [Vec<u32>],
-    sm_next_free: &mut [u64],
-    sm_last_issue: &mut [u64],
-    eager: &mut Vec<EagerScratch>,
-    stats: &mut LaunchStats,
-    end_tick: &mut u64,
-    bound: (u64, u32),
-    lim: EagerLimits,
-) -> bool {
-    let starts = sched.starts();
-    let n = sched.n_clusters();
-    if eager.len() < n {
-        eager.resize_with(n, EagerScratch::default);
-    }
-    let mut n_active = 0usize;
-    for (c, es) in eager.iter_mut().enumerate().take(n) {
-        es.reset();
-        for sm in starts[c]..starts[c + 1] {
-            if eager_eligible(
-                spin,
-                &sm_parked[sm],
-                &sm_visit[sm],
-                &sm_ready[sm],
-                sm_next_free[sm],
-                bound,
-            ) {
-                es.active = true;
-                n_active += 1;
-                break;
-            }
-        }
-    }
-    if n_active == 0 {
-        return false;
-    }
-    {
-        let spin_r: &[SpinState] = spin;
-        let mut vis_rest = &mut sm_visit[..];
-        let mut rdy_rest = &mut sm_ready[..];
-        let mut nf_rest = &mut sm_next_free[..];
-        let mut li_rest = &mut sm_last_issue[..];
-        std::thread::scope(|sc| {
-            for (c, es) in eager.iter_mut().enumerate().take(n) {
-                let len = starts[c + 1] - starts[c];
-                let vis = cluster::take_front(&mut vis_rest, len);
-                let rdy = cluster::take_front(&mut rdy_rest, len);
-                let nf = cluster::take_front(&mut nf_rest, len);
-                let li = cluster::take_front(&mut li_rest, len);
-                if !es.active {
-                    continue;
-                }
-                let start = starts[c];
-                if n_active == 1 {
-                    eager_advance_cluster(
-                        spin_r, sm_parked, start, vis, rdy, nf, li, es, bound, lim,
-                    );
-                } else {
-                    sc.spawn(move || {
-                        eager_advance_cluster(
-                            spin_r, sm_parked, start, vis, rdy, nf, li, es, bound, lim,
-                        )
-                    });
-                }
-            }
-        });
-    }
-    let mut did = false;
-    for es in eager.iter_mut().take(n) {
-        if !es.active || es.updates.is_empty() {
-            continue;
-        }
-        did = true;
-        stats.accumulate(&es.stats);
-        *end_tick = (*end_tick).max(es.end_tick);
-        for sh in es.updates.drain(..) {
-            let SpinState::Parked(p) = &mut spin[sh.wid as usize] else {
-                unreachable!("updated warp is parked");
-            };
-            p.idx = sh.idx;
-            p.next_tick = sh.next_tick;
-            p.ready = sh.ready;
-        }
-    }
-    did
 }
 
 impl GpuDevice {
@@ -1296,6 +1102,7 @@ impl GpuDevice {
             launch_scratch: LaunchScratch::default(),
             profiles: Vec::new(),
             last_heap_events: 0,
+            last_ff: FfCounters::default(),
             grid_cache: Vec::new(),
             grid_reuses: 0,
         }
@@ -1317,6 +1124,16 @@ impl GpuDevice {
     /// stats stay directly comparable.
     pub fn last_launch_heap_events(&self) -> u64 {
         self.last_heap_events
+    }
+
+    /// Fast-forward counters of the most recent launch: parks, wakes, crowd
+    /// advances, and how its virtual instructions were reconstructed — one
+    /// visit at a time (through the visit heap or along a crowd's sorted
+    /// residues) or in closed form. Diagnostic only, like
+    /// [`GpuDevice::last_launch_heap_events`]: not part of [`LaunchStats`].
+    /// All zero under [`crate::SpinModel::Replay`].
+    pub fn last_launch_ff_counters(&self) -> FfCounters {
+        self.last_ff
     }
 
     /// Drains and returns the profiles accumulated by profiled launches,
@@ -1422,6 +1239,7 @@ impl GpuDevice {
                 self.mem.ext_apply(ev);
             }
             self.last_heap_events = 0;
+            self.last_ff = FfCounters::default();
             return Ok(LaunchStats {
                 launches: 1,
                 cycles: self.config.launch_overhead_cycles,
@@ -1518,14 +1336,10 @@ impl GpuDevice {
         scratch.resident.clear();
         scratch.resident.resize(sm_count, 0);
         let mut resident = scratch.resident;
-        // Event schedule: per-cluster heaps merged deterministically (see
-        // cluster.rs). `engine_threads == 1` gives one cluster and is the
-        // plain serial engine; more clusters change *nothing* about the pop
-        // order — they only enable the eager parallel advancement between
-        // synchronization horizons below.
-        let n_clusters = cfg.engine_threads.clamp(1, sm_count);
-        let mut sched = ClusterSched::new(sm_count, n_clusters, std::mem::take(&mut scratch.sched));
-        let mut eager = std::mem::take(&mut scratch.eager);
+        // Event schedule: `(tick, warp, seq)` keys, popped lex-least first,
+        // so same-tick events run in warp-id order.
+        let mut sched = scratch.sched;
+        sched.clear();
 
         // Spin fast-forwarding (wake-on-write): parked warps leave the heap
         // and are reconstructed virtually — see the module-level comment at
@@ -1538,31 +1352,23 @@ impl GpuDevice {
         let mut seq = scratch.seq;
         scratch.spin.clear();
         let mut spin = scratch.spin;
-        let mut sm_parked = scratch.sm_parked;
-        for lst in &mut sm_parked {
-            lst.clear();
+        let mut sm_ff = scratch.sm_ff;
+        for f in &mut sm_ff {
+            f.parked.clear();
+            f.visit.clear();
+            f.ready.clear();
+            f.crowd.clear();
         }
-        let mut sm_visit = scratch.sm_visit;
-        for h in &mut sm_visit {
-            h.clear();
-        }
-        let mut sm_ready = scratch.sm_ready;
-        for r in &mut sm_ready {
-            r.clear();
-        }
-        let mut mw_plans = scratch.mw_plans;
-        mw_plans.clear();
-        let mut mw_res = scratch.mw_res;
-        mw_res.clear();
+        let mut ff_ctr = FfCounters::default();
+        // Retired spin captures, reused by later captures of this launch.
+        let mut spare_ff: Vec<SpinFf> = Vec::new();
         let mut wakes = scratch.wakes;
         let mut spin_rec = scratch.spin_rec;
         spin_rec.reads.clear();
         spin_rec.record_reads = false;
         if ff_on {
             spin.resize_with(n_warps, || SpinState::Idle);
-            sm_parked.resize(sm_count, Vec::new());
-            sm_visit.resize_with(sm_count, BinaryHeap::new);
-            sm_ready.resize(sm_count, Vec::new());
+            sm_ff.resize_with(sm_count, SmFf::default);
         }
         let mut n_parked: usize = 0;
         let mut heap_events: u64 = 0;
@@ -1581,7 +1387,7 @@ impl GpuDevice {
                 warps[wid] = Some(make_warp(&mut pool, kernel, wid, sm));
                 resident[sm] += 1;
                 let s = bump(&mut seq, wid as u32);
-                sched.push(sm, (0, wid as u32, s));
+                sched.push(Reverse((0, wid as u32, s)));
                 next_pending += 1;
             }
         } else {
@@ -1595,7 +1401,7 @@ impl GpuDevice {
                     resident[sm] += 1;
                     plan_sms.push(sm as u32);
                     let s = bump(&mut seq, next_pending as u32);
-                    sched.push(sm, (0, next_pending as u32, s));
+                    sched.push(Reverse((0, next_pending as u32, s)));
                     next_pending += 1;
                 } else if resident.iter().all(|&r| r >= max_resident) {
                     break 'fill;
@@ -1644,10 +1450,17 @@ impl GpuDevice {
         let mut groups = scratch.groups;
 
         let batch_ok = prof.is_none() && trace.is_none();
-        // Eager-advance cadence: attempt a parallel horizon pass every
-        // `eager_gap` pops, backing off while no eligible work appears.
-        let mut eager_gap: u32 = EAGER_GAP_MIN;
-        let mut eager_count: u32 = 0;
+        // A failing launch flushes the relaxed store buffers at the given
+        // tick, drops every parked-warp registration, and records its
+        // engine counters.
+        macro_rules! abort {
+            ($tick:expr) => {{
+                self.mem.finish_relaxed($tick);
+                self.mem.spin_clear();
+                self.last_heap_events = heap_events;
+                self.last_ff = ff_ctr;
+            }};
+        }
         let mut ev_i = 0usize;
         loop {
             // Apply external (link-delivered) events that are due at or
@@ -1657,7 +1470,7 @@ impl GpuDevice {
             // events apply unconditionally (every runnable warp is parked
             // or done; only an event can unblock anything).
             while ev_i < events.len() {
-                if let Some((nt, _, _)) = sched.peek() {
+                if let Some(&Reverse((nt, _, _))) = sched.peek() {
                     if events[ev_i].tick > nt {
                         break;
                     }
@@ -1684,15 +1497,12 @@ impl GpuDevice {
                         if let Err(h) = ff_advance(
                             kernel,
                             &mut spin,
-                            &sm_parked,
-                            &mut sm_visit,
-                            &mut sm_ready,
-                            &mut mw_plans,
-                            &mut mw_res,
+                            &mut sm_ff,
                             Some(wsm),
                             (ev.tick, 0),
                             batch_ok,
                             &mut stats,
+                            &mut ff_ctr,
                             &mut prof,
                             &mut trace,
                             &mut sm_next_free,
@@ -1703,27 +1513,16 @@ impl GpuDevice {
                             ev_dl,
                             tpc,
                         ) {
-                            self.mem.finish_relaxed(end_tick);
-                            self.mem.spin_clear();
-                            self.last_heap_events = heap_events;
-                            let live_warps = warps.iter().filter(|w| w.is_some()).count();
-                            return Err(if h.timeout {
-                                SimtError::Timeout {
-                                    kernel: kernel.name(),
-                                    max_cycles: cfg.max_cycles,
-                                    live_warps,
-                                    last_progress_cycle: last_progress / tpc,
-                                    warps: snapshot_warps(&warps, &spin),
-                                }
-                            } else {
-                                SimtError::Deadlock {
-                                    kernel: kernel.name(),
-                                    cycle: h.tick / tpc,
-                                    live_warps,
-                                    last_progress_cycle: last_progress / tpc,
-                                    warps: snapshot_warps(&warps, &spin),
-                                }
-                            });
+                            abort!(end_tick);
+                            return Err(hang_error(
+                                h,
+                                kernel.name(),
+                                cfg.max_cycles,
+                                &warps,
+                                &spin,
+                                last_progress / tpc,
+                                tpc,
+                            ));
                         }
                         if let SpinState::Parked(p) = &mut spin[wwid as usize] {
                             let eff = eff_next(p, sm_next_free[wsm]);
@@ -1731,13 +1530,13 @@ impl GpuDevice {
                             if p.kick.is_none_or(|old| kt < old) {
                                 p.kick = Some(kt);
                                 let s = bump(&mut seq, wwid);
-                                sched.push(wsm, (kt, wwid, s));
+                                sched.push(Reverse((kt, wwid, s)));
                             }
                         }
                     }
                 }
             }
-            let Some((t, wid, sq)) = sched.pop() else {
+            let Some(Reverse((t, wid, sq))) = sched.pop() else {
                 break;
             };
             // While link events are still pending, a stall is waiting on
@@ -1753,44 +1552,6 @@ impl GpuDevice {
                 // Superseded event: the warp was re-kicked or re-scheduled
                 // after this entry was pushed.
                 continue;
-            }
-            if n_clusters > 1 && ff_on && batch_ok && n_parked > 0 {
-                eager_count += 1;
-                if eager_count >= eager_gap {
-                    eager_count = 0;
-                    // The horizon: this pop key, capped under Relaxed by
-                    // the earliest autonomous store-drain deadline (read
-                    // *before* drain_due below consumes due entries).
-                    let drain = if relaxed_on {
-                        self.mem.next_drain_due()
-                    } else {
-                        None
-                    };
-                    let bound = cluster::safe_horizon((t, wid), drain);
-                    let did = eager_horizon_advance(
-                        &sched,
-                        &mut spin,
-                        &sm_parked,
-                        &mut sm_visit,
-                        &mut sm_ready,
-                        &mut sm_next_free,
-                        &mut sm_last_issue,
-                        &mut eager,
-                        &mut stats,
-                        &mut end_tick,
-                        bound,
-                        EagerLimits {
-                            last_progress,
-                            max_ticks,
-                            deadlock_ticks: dl_ticks,
-                        },
-                    );
-                    eager_gap = if did {
-                        EAGER_GAP_MIN
-                    } else {
-                        (eager_gap * 2).min(EAGER_GAP_MAX)
-                    };
-                }
             }
             if relaxed_on {
                 // Heap pops are monotone in t, so due-expired stores drain
@@ -1810,15 +1571,12 @@ impl GpuDevice {
                 if let Err(h) = ff_advance(
                     kernel,
                     &mut spin,
-                    &sm_parked,
-                    &mut sm_visit,
-                    &mut sm_ready,
-                    &mut mw_plans,
-                    &mut mw_res,
+                    &mut sm_ff,
                     sm_filter,
                     (t, wid),
                     batch_ok,
                     &mut stats,
+                    &mut ff_ctr,
                     &mut prof,
                     &mut trace,
                     &mut sm_next_free,
@@ -1829,27 +1587,16 @@ impl GpuDevice {
                     dl_ticks,
                     tpc,
                 ) {
-                    self.mem.finish_relaxed(t);
-                    self.mem.spin_clear();
-                    self.last_heap_events = heap_events;
-                    let live_warps = warps.iter().filter(|w| w.is_some()).count();
-                    return Err(if h.timeout {
-                        SimtError::Timeout {
-                            kernel: kernel.name(),
-                            max_cycles: cfg.max_cycles,
-                            live_warps,
-                            last_progress_cycle: last_progress / tpc,
-                            warps: snapshot_warps(&warps, &spin),
-                        }
-                    } else {
-                        SimtError::Deadlock {
-                            kernel: kernel.name(),
-                            cycle: h.tick / tpc,
-                            live_warps,
-                            last_progress_cycle: last_progress / tpc,
-                            warps: snapshot_warps(&warps, &spin),
-                        }
-                    });
+                    abort!(t);
+                    return Err(hang_error(
+                        h,
+                        kernel.name(),
+                        cfg.max_cycles,
+                        &warps,
+                        &spin,
+                        last_progress / tpc,
+                        tpc,
+                    ));
                 }
                 // A parked warp's own event is its wake kick: convert it
                 // to a real poll if the virtual cursor sits exactly on the
@@ -1866,16 +1613,20 @@ impl GpuDevice {
                         // iteration-invariant for a pure loop.
                         let w = warps[wid as usize].as_mut().expect("parked warp exists");
                         w.stack.last_mut().expect("parked warp has stack").pc = p.anchor_pc;
-                        sm_parked[sm].retain(|&x| x != wid);
+                        let f = &mut sm_ff[sm];
+                        f.parked.retain(|&x| x != wid);
                         if p.ready {
                             p.ready = false;
-                            if let Ok(pos) = sm_ready[sm].binary_search(&wid) {
-                                sm_ready[sm].remove(pos);
+                            if let Ok(pos) = f.ready.binary_search(&wid) {
+                                f.ready.remove(pos);
                             }
                         }
+                        unregister(&mut f.crowd, &p, wid);
                         n_parked -= 1;
+                        ff_ctr.wakes += 1;
                         p.kick = None;
                         *slot = SpinState::Waking(p);
+                        check_crowd(&sm_ff[sm], &spin);
                         // Fall through: the poll issues at t like any event.
                     } else {
                         // Displacement (or a later projection) moved the
@@ -1884,7 +1635,7 @@ impl GpuDevice {
                         p.kick = Some(kt);
                         *slot = SpinState::Parked(p);
                         let s = bump(&mut seq, wid);
-                        sched.push(sm, (kt, wid, s));
+                        sched.push(Reverse((kt, wid, s)));
                         continue;
                     }
                 }
@@ -1892,13 +1643,11 @@ impl GpuDevice {
             let w = warps[wid as usize].as_mut().expect("scheduled warp exists");
             if sm_next_free[sm] > t {
                 let s = bump(&mut seq, wid);
-                sched.push(sm, (sm_next_free[sm], wid, s));
+                sched.push(Reverse((sm_next_free[sm], wid, s)));
                 continue;
             }
             if t > max_ticks {
-                self.mem.finish_relaxed(t);
-                self.mem.spin_clear();
-                self.last_heap_events = heap_events;
+                abort!(t);
                 return Err(SimtError::Timeout {
                     kernel: kernel.name(),
                     max_cycles: cfg.max_cycles,
@@ -1908,9 +1657,7 @@ impl GpuDevice {
                 });
             }
             if t.saturating_sub(last_progress) > dl_ticks {
-                self.mem.finish_relaxed(t);
-                self.mem.spin_clear();
-                self.last_heap_events = heap_events;
+                abort!(t);
                 return Err(SimtError::Deadlock {
                     kernel: kernel.name(),
                     cycle: t / tpc,
@@ -1972,9 +1719,7 @@ impl GpuDevice {
             );
             if racecheck {
                 if let Some(r) = self.mem.take_race() {
-                    self.mem.finish_relaxed(t);
-                    self.mem.spin_clear();
-                    self.last_heap_events = heap_events;
+                    abort!(t);
                     return Err(SimtError::RaceDetected {
                         kernel: kernel.name(),
                         buffer: r.buf,
@@ -2025,15 +1770,17 @@ impl GpuDevice {
                     && stale_delta == 0
                     && kernel.spin_pure(pre_pc);
                 let slot = &mut spin[wid as usize];
-                if let SpinState::Waking(old) = slot {
+                let mut prev = std::mem::replace(slot, SpinState::Idle);
+                if let SpinState::Waking(old) = prev {
                     // The woken warp just re-executed its poll for real;
                     // drop the stale watch registration (re-parking below
                     // re-registers a freshly captured set, so changed
                     // read-set values are re-observed).
-                    self.mem.spin_unpark(wid, &old.watch);
-                    *slot = SpinState::Idle;
+                    self.mem.spin_unpark(wid, &old.watch_slots);
+                    retire_capture(&mut spare_ff, *old);
+                    prev = SpinState::Idle;
                 }
-                match std::mem::replace(slot, SpinState::Idle) {
+                match prev {
                     SpinState::Idle => {
                         if anchor_ok {
                             *slot = SpinState::Arming {
@@ -2052,6 +1799,7 @@ impl GpuDevice {
                             if pre_pc == anchor_pc && pre_mask == mask {
                                 if fails + 1 >= ARM_VISITS {
                                     *slot = SpinState::Capturing(new_capture(
+                                        &mut spare_ff,
                                         sm,
                                         pre_pc,
                                         pre_mask,
@@ -2089,39 +1837,55 @@ impl GpuDevice {
                                 && pre_pc == c.anchor_pc
                                 && pre_mask == c.mask
                                 && spin_rec.polled.len() == c.sig[0].poll_fails as usize
-                                && spin_rec.polled.iter().all(|wd| c.watch.contains(wd))
+                                && spin_rec
+                                    .polled
+                                    .iter()
+                                    .all(|wd| c.watch.binary_search(wd).is_ok())
                             {
                                 // The loop closed on its anchor: park.
                                 debug_assert_eq!(out.cost_ticks, c.sig[0].cost);
-                                for &r in spin_rec.reads.iter() {
-                                    if !c.watch.contains(&r) {
-                                        c.watch.push(r);
-                                    }
+                                c.watch.append(&mut spin_rec.reads);
+                                if !c.watch.is_sorted() {
+                                    c.watch.sort_unstable();
                                 }
-                                spin_rec.reads.clear();
+                                c.watch.dedup();
                                 c.period = c.sig.iter().map(|s| s.cost).sum();
+                                c.cyc_flops = c.sig.iter().map(|s| s.flops).sum();
+                                c.cyc_l2 = c.sig.iter().map(|s| s.l2_hits as u64).sum();
+                                c.cyc_polls = c.sig.iter().map(|s| s.poll_fails as u64).sum();
                                 c.idx = if c.sig.len() > 1 { 1 } else { 0 };
                                 c.next_tick = t_done;
                                 c.kick = None;
-                                if let Some(due) = self.mem.spin_park(wid, &c.watch) {
+                                let SpinFf {
+                                    watch, watch_slots, ..
+                                } = &mut *c;
+                                if let Some(due) = self.mem.spin_park(wid, watch, watch_slots) {
                                     // A buffered store to a watched word
                                     // drains no later than `due`; schedule
                                     // the corresponding no-later-than wake.
                                     let kt = poll_at_or_after(&c, c.next_tick, due, 0, wid);
                                     c.kick = Some(kt);
                                     let s = bump(&mut seq, wid);
-                                    sched.push(sm, (kt, wid, s));
+                                    sched.push(Reverse((kt, wid, s)));
                                 }
-                                sm_parked[sm].push(wid);
-                                sm_visit[sm].push(Reverse((c.next_tick, wid)));
+                                let f = &mut sm_ff[sm];
+                                f.parked.push(wid);
+                                if !f.crowd.walk {
+                                    f.visit.push(Reverse((c.next_tick, wid)));
+                                }
+                                register(&mut f.crowd, &mut c, wid);
                                 n_parked += 1;
+                                ff_ctr.parks += 1;
                                 parked_now = true;
                                 *slot = SpinState::Parked(c);
+                                check_crowd(&sm_ff[sm], &spin);
                             } else if anchor_ok {
                                 // A different all-fail pure poll: restart
                                 // the capture from this new anchor.
                                 spin_rec.reads.clear();
+                                retire_capture(&mut spare_ff, *c);
                                 *slot = SpinState::Capturing(new_capture(
+                                    &mut spare_ff,
                                     sm,
                                     pre_pc,
                                     pre_mask,
@@ -2132,6 +1896,7 @@ impl GpuDevice {
                                 // The poll (partially) succeeded or went
                                 // impure: the loop is making progress.
                                 spin_rec.reads.clear();
+                                retire_capture(&mut spare_ff, *c);
                             }
                         } else if out.pure
                             && stale_delta == 0
@@ -2150,6 +1915,7 @@ impl GpuDevice {
                             *slot = SpinState::Capturing(c);
                         } else {
                             spin_rec.reads.clear();
+                            retire_capture(&mut spare_ff, *c);
                         }
                     }
                     SpinState::Parked(_) | SpinState::Waking(_) => {
@@ -2183,7 +1949,7 @@ impl GpuDevice {
                     warps[next_pending] = Some(w);
                     resident[sm] += 1;
                     let s = bump(&mut seq, next_pending as u32);
-                    sched.push(sm, (t + 1, next_pending as u32, s));
+                    sched.push(Reverse((t + 1, next_pending as u32, s)));
                     next_pending += 1;
                 } else if pool.len() < pool_cap {
                     pool.push(WarpScratch {
@@ -2193,7 +1959,7 @@ impl GpuDevice {
                 }
             } else if !parked_now {
                 let s = bump(&mut seq, wid);
-                sched.push(sm, (t_done, wid, s));
+                sched.push(Reverse((t_done, wid, s)));
             }
 
             // Deliver wakes produced by this instruction's stores, atomics,
@@ -2216,15 +1982,12 @@ impl GpuDevice {
                     if let Err(h) = ff_advance(
                         kernel,
                         &mut spin,
-                        &sm_parked,
-                        &mut sm_visit,
-                        &mut sm_ready,
-                        &mut mw_plans,
-                        &mut mw_res,
+                        &mut sm_ff,
                         Some(wsm),
                         (t, wid),
                         batch_ok,
                         &mut stats,
+                        &mut ff_ctr,
                         &mut prof,
                         &mut trace,
                         &mut sm_next_free,
@@ -2235,27 +1998,16 @@ impl GpuDevice {
                         dl_ticks,
                         tpc,
                     ) {
-                        self.mem.finish_relaxed(t);
-                        self.mem.spin_clear();
-                        self.last_heap_events = heap_events;
-                        let live_warps = warps.iter().filter(|w| w.is_some()).count();
-                        return Err(if h.timeout {
-                            SimtError::Timeout {
-                                kernel: kernel.name(),
-                                max_cycles: cfg.max_cycles,
-                                live_warps,
-                                last_progress_cycle: last_progress / tpc,
-                                warps: snapshot_warps(&warps, &spin),
-                            }
-                        } else {
-                            SimtError::Deadlock {
-                                kernel: kernel.name(),
-                                cycle: h.tick / tpc,
-                                live_warps,
-                                last_progress_cycle: last_progress / tpc,
-                                warps: snapshot_warps(&warps, &spin),
-                            }
-                        });
+                        abort!(t);
+                        return Err(hang_error(
+                            h,
+                            kernel.name(),
+                            cfg.max_cycles,
+                            &warps,
+                            &spin,
+                            last_progress / tpc,
+                            tpc,
+                        ));
                     }
                     if let SpinState::Parked(p) = &mut spin[wwid as usize] {
                         let eff = eff_next(p, sm_next_free[wsm]);
@@ -2263,7 +2015,7 @@ impl GpuDevice {
                         if p.kick.is_none_or(|old| kt < old) {
                             p.kick = Some(kt);
                             let s = bump(&mut seq, wwid);
-                            sched.push(wsm, (kt, wwid, s));
+                            sched.push(Reverse((kt, wwid, s)));
                         }
                     }
                 }
@@ -2275,9 +2027,7 @@ impl GpuDevice {
         // again: report the deadlock *now*, waiter graph attached, instead
         // of burning the deadlock window on an empty schedule.
         if ff_on && n_parked > 0 {
-            self.mem.finish_relaxed(end_tick);
-            self.mem.spin_clear();
-            self.last_heap_events = heap_events;
+            abort!(end_tick);
             return Err(SimtError::Deadlock {
                 kernel: kernel.name(),
                 cycle: end_tick / tpc + 1,
@@ -2289,11 +2039,13 @@ impl GpuDevice {
 
         self.warp_scratch = pool;
         self.last_heap_events = heap_events;
+        self.last_ff = ff_ctr;
+        // Nothing is parked any more: free the waiter lists.
+        self.mem.spin_clear();
         spin.clear();
         self.launch_scratch = LaunchScratch {
             resident,
-            sched: sched.into_parts(),
-            eager,
+            sched,
             sm_next_free,
             sm_last_issue,
             accesses,
@@ -2301,11 +2053,7 @@ impl GpuDevice {
             groups,
             seq,
             spin,
-            sm_parked,
-            sm_visit,
-            sm_ready,
-            mw_plans,
-            mw_res,
+            sm_ff,
             wakes,
             spin_rec,
         };
@@ -2458,9 +2206,7 @@ impl GpuDevice {
             // Sync-protocol accesses (`bypass`), stores, and atomics keep
             // the legacy path, so spin fast-forward capture/replay and the
             // store pipeline are untouched. Probing mutates LRU state, so
-            // it happens here — on the coordinating thread, in merged pop
-            // order — which keeps clustered execution bit-identical to
-            // serial (DESIGN.md §13).
+            // it happens here, in pop order (DESIGN.md §13).
             let probe_cache = l1_lat > 0 && kind == AccessKind::Load && !accesses[0].bypass;
             let mut worst = if probe_cache { l1_lat } else { l2_lat };
             let mut bw_limited = false;

@@ -49,8 +49,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub(crate) mod cluster;
 pub mod config;
+mod crowd;
 pub mod engine;
 pub mod error;
 pub mod host;
@@ -62,7 +62,7 @@ pub mod profile;
 pub mod trace;
 
 pub use config::{CacheConfig, DeviceConfig, MemoryModel, ProfileMode, SpinModel, StoreScope};
-pub use engine::GpuDevice;
+pub use engine::{FfCounters, GpuDevice};
 pub use error::{SimtError, WarpSnapshot};
 pub use host::HostCostModel;
 pub use kernel::{Effect, Pc, WarpKernel, PC_EXIT};

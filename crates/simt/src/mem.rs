@@ -7,6 +7,7 @@
 //! (a few MB, within real L2 reach for the hot arrays) operate in.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::kernel::Pc;
 
@@ -262,13 +263,52 @@ impl SpinRec {
 /// is `>= min_warp` (heap pop order within a tick is by warp id).
 type SpinWake = (u32, u64, u32);
 
+/// Key of a global word in the waiter registry: buffer id in the high
+/// half, element index in the low half.
+#[inline]
+fn word_key(buf: u32, idx: u32) -> u64 {
+    (buf as u64) << 32 | idx as u64
+}
+
+/// Hasher for [`word_key`]s: a fold and one multiply by an odd constant.
+/// The table takes the bucket from the low bits of the hash, and the low
+/// bits of a product depend only on the low bits of its factor, so the
+/// buffer id (the key's high half) is folded into the low half first; the
+/// multiply then spreads every bit into the high bits the table keeps as a
+/// tag. Parking and waking hash on every call, where SipHash's per-key cost
+/// showed up.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x ^ (x >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// Registry of warps parked on global words under
-/// [`crate::SpinModel::FastForward`]. Empty (and O(1) to consult) whenever
-/// no warp is parked.
+/// [`crate::SpinModel::FastForward`]. O(1) to consult whenever no warp is
+/// parked. Emptied lists stay until the launch ends, so a warp that parks
+/// on the same words again does not allocate, and a parked warp keeps its
+/// lists' slots so that unparking it needs no lookup.
 #[derive(Default)]
 struct SpinWaiters {
-    /// `(buffer, element index)` → parked warp ids.
-    map: HashMap<(u32, u32), Vec<u32>>,
+    /// [`word_key`] → slot of the word's list in `lists`.
+    map: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
+    /// Parked warp ids per watched word, in parking order.
+    lists: Vec<Vec<u32>>,
+    /// Non-empty lists.
+    live: usize,
     /// Wakes produced by stores/fences/atomics, drained by the engine
     /// after every executed instruction.
     wakes: Vec<SpinWake>,
@@ -280,11 +320,11 @@ struct SpinWaiters {
 /// buffered and unpublished) simply fails the poll and re-parks, so waking
 /// early is safe while waking late never happens.
 fn wake_waiters(spin: &mut SpinWaiters, buf: u32, idx: usize, tick: u64, min_warp: u32) {
-    if spin.map.is_empty() {
+    if spin.live == 0 {
         return;
     }
-    if let Some(ws) = spin.map.get(&(buf, idx as u32)) {
-        for &wid in ws {
+    if let Some(&slot) = spin.map.get(&word_key(buf, idx as u32)) {
+        for &wid in &spin.lists[slot as usize] {
             spin.wakes.push((wid, tick, min_warp));
         }
     }
@@ -379,9 +419,8 @@ pub(crate) enum CacheHit {
 /// ([`crate::DeviceConfig::with_cache`]): per-SM set-associative L1 tag
 /// arrays over a shared L2, tracking 32-byte sectors keyed by
 /// `(buffer, sector)`. Tags only — all hit/miss/eviction *counters* live in
-/// [`crate::LaunchStats`] and are bumped by the engine on the coordinator
-/// thread in merged pop order, so clustered execution observes exactly the
-/// serial probe sequence (DESIGN.md §13). Like the first-touch bitmaps,
+/// [`crate::LaunchStats`] and are bumped by the engine in pop order
+/// (DESIGN.md §13). Like the first-touch bitmaps,
 /// the tag state persists across launches on the same device.
 struct CacheSim {
     l1_sets: usize,
@@ -822,32 +861,36 @@ impl DeviceMemory {
         self.relaxed.as_mut().and_then(|rs| rs.race.take())
     }
 
-    /// Earliest autonomous-drain deadline over all pending buffered stores,
-    /// or `None` when the relaxed model is disarmed or no store is
-    /// undrained. The cluster engine uses this as the `Relaxed`
-    /// cross-cluster visibility horizon (DESIGN.md §11): strictly before
-    /// this tick no buffered store can reach DRAM without an instruction
-    /// issuing first, so eager per-cluster advancement capped at
-    /// `min(next event, next_drain_due)` can never run past a drain that
-    /// another cluster should have observed.
-    pub(crate) fn next_drain_due(&self) -> Option<u64> {
-        self.relaxed
-            .as_ref()
-            .map(|rs| rs.min_due)
-            .filter(|&d| d != u64::MAX)
-    }
-
     // ---- spin fast-forward waiter registry (engine-internal) ------------
 
-    /// Parks `warp` on every word in `watch`. Returns the earliest
-    /// autonomous-drain deadline among stores already pending to a watched
-    /// word, if any — the no-later-than tick at which a buffered store
-    /// could become visible without any further instruction executing,
-    /// which the engine must schedule a wake for.
-    pub(crate) fn spin_park(&mut self, warp: u32, watch: &[(u32, u32)]) -> Option<u64> {
+    /// Parks `warp` on every word in `watch`, filling `slots` with the
+    /// words' list slots for [`DeviceMemory::spin_unpark`]. Returns the
+    /// earliest autonomous-drain deadline among stores already pending to
+    /// a watched word, if any — the no-later-than tick at which a buffered
+    /// store could become visible without any further instruction
+    /// executing, which the engine must schedule a wake for.
+    pub(crate) fn spin_park(
+        &mut self,
+        warp: u32,
+        watch: &[(u32, u32)],
+        slots: &mut Vec<u32>,
+    ) -> Option<u64> {
         let mut due = None;
+        slots.clear();
         for &(buf, idx) in watch {
-            self.spin.map.entry((buf, idx)).or_default().push(warp);
+            let SpinWaiters {
+                map, lists, live, ..
+            } = &mut self.spin;
+            let slot = *map.entry(word_key(buf, idx)).or_insert_with(|| {
+                lists.push(Vec::new());
+                lists.len() as u32 - 1
+            });
+            slots.push(slot);
+            let ws = &mut lists[slot as usize];
+            if ws.is_empty() {
+                *live += 1;
+            }
+            ws.push(warp);
             if let Some(rs) = &self.relaxed {
                 if let Some(m) = rs.words.get(&(buf, idx as usize)) {
                     if m.undrained > 0 {
@@ -859,14 +902,15 @@ impl DeviceMemory {
         due
     }
 
-    /// Removes `warp` from the waiter lists of every word in `watch`.
-    pub(crate) fn spin_unpark(&mut self, warp: u32, watch: &[(u32, u32)]) {
-        for &(buf, idx) in watch {
-            if let Some(ws) = self.spin.map.get_mut(&(buf, idx)) {
-                ws.retain(|&w| w != warp);
-                if ws.is_empty() {
-                    self.spin.map.remove(&(buf, idx));
-                }
+    /// Removes `warp` from the waiter lists in `slots`, as filled by its
+    /// [`DeviceMemory::spin_park`].
+    pub(crate) fn spin_unpark(&mut self, warp: u32, slots: &[u32]) {
+        for &slot in slots {
+            let ws = &mut self.spin.lists[slot as usize];
+            let before = ws.len();
+            ws.retain(|&w| w != warp);
+            if before > 0 && ws.is_empty() {
+                self.spin.live -= 1;
             }
         }
     }
@@ -877,10 +921,12 @@ impl DeviceMemory {
         out.append(&mut self.spin.wakes);
     }
 
-    /// Clears all waiter state (launch start, and error paths that leave
-    /// warps parked).
+    /// Clears all waiter state and frees the waiter lists (launch start
+    /// and end, and error paths that leave warps parked).
     pub(crate) fn spin_clear(&mut self) {
         self.spin.map.clear();
+        self.spin.lists = Vec::new();
+        self.spin.live = 0;
         self.spin.wakes.clear();
     }
 

@@ -5,13 +5,14 @@
 use crate::config::DeviceConfig;
 
 /// Saturating in-place add for one counter. Every accumulation path in the
-/// engine — per-instruction bumps, fast-forward closed forms, and the
-/// cluster engine's partial-sum merges — goes through this helper (or
+/// engine — per-instruction bumps, fast-forward closed forms, and
+/// multi-launch merges — goes through this helper (or
 /// [`LaunchStats::accumulate`]) so that counters are *order-independent*:
 /// a saturating sum of saturating partial sums equals the saturating sum of
-/// the serial interleaving (both are `min(u64::MAX, Σ)` for non-negative
-/// addends). Mixing wrapping and saturating adds would break that identity
-/// at overflow and let cluster-merged counters diverge from serial.
+/// the interleaved increments (both are `min(u64::MAX, Σ)` for
+/// non-negative addends). Mixing wrapping and saturating adds would break
+/// that identity at overflow, e.g. between a closed-form batch and the
+/// per-visit path that it replaces.
 #[inline]
 pub(crate) fn sat_add(counter: &mut u64, v: u64) {
     *counter = counter.saturating_add(v);
@@ -314,9 +315,8 @@ mod tests {
 
     #[test]
     fn partial_sum_merges_match_serial_accumulation_at_overflow() {
-        // The cluster engine accumulates per-cluster partial stats and
-        // merges them afterwards; serial execution accumulates the same
-        // increments in interleaved order. With saturating adds everywhere
+        // Partial stats accumulated separately and merged afterwards must
+        // equal the same increments accumulated in interleaved order. With saturating adds everywhere
         // both orders give min(u64::MAX, Σ); a single wrapping add in
         // either path would break this near the top of the range.
         let increments: [u64; 5] = [u64::MAX / 2, 7, u64::MAX / 2, 40, 3];
@@ -324,7 +324,7 @@ mod tests {
         for v in increments {
             sat_add(&mut serial, v);
         }
-        // Split [a, b | c, d, e] across two "clusters", then merge.
+        // Split [a, b | c, d, e] into two partial sums, then merge.
         let (mut part_a, mut part_b) = (0u64, 0u64);
         for v in &increments[..2] {
             sat_add(&mut part_a, *v);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sptrsv solve   --matrix L.mtx [--rhs b.txt] [--algo capellini|syncfree|syncfree-csc|cusparse|levelset|two-phase|hybrid|scheduled|auto]
-//!                [--device pascal|volta|turing] [--engine-threads N] [--cache]
+//!                [--device pascal|volta|turing] [--cache]
 //!                [--devices N [--link pcie|nvlink]]
 //!                [--rhs-cols K] [--session N]
 //!                [--profile trace.json [--profile-interval N]]
@@ -53,7 +53,7 @@ fn main() {
 
 fn usage() {
     eprintln!(
-        "usage:\n  sptrsv solve --matrix L.mtx [--rhs b.txt] [--algo NAME|auto] [--device pascal|volta|turing] [--engine-threads N] [--cache] [--devices N [--link pcie|nvlink]] [--rhs-cols K] [--session N] [--profile trace.json [--profile-interval N]] [--cpu [THREADS]] [--out x.txt]\n  sptrsv stats --matrix L.mtx\n  sptrsv gen --kind powerlaw|circuit|stencil|lp|band --n N --out L.mtx [--seed S]\n  sptrsv serve --matrix L.mtx [--clients N] [--requests N] [--window MS] [--max-batch K] [--device pascal|volta|turing]\n  sptrsv --list-algos\n\nbatching:\n  --rhs-cols K  solve K right-hand sides per launch (SpTRSM); column r scales the base rhs by r+1\n  --session N   analyze once, then run N warm solves through the cached SolverSession\n\nserving:\n  --clients N   concurrent client threads hammering the solver service (default 4)\n  --requests N  requests per client (default 8)\n  --window MS   coalesce window in milliseconds; 0 disables batching (default 3)\n  --max-batch K cap on right-hand sides per coalesced launch (default 8)\n\nsimulation:\n  --engine-threads N  advance the simulated SMs on N host threads (identical output, faster wall-clock)\n  --cache             model a finite per-SM L1 + shared L2 for read-only loads and report hit rates\n  --devices N         shard the solve across N simulated devices (1..=8) joined by a modeled interconnect\n  --link KIND         interconnect class for --devices: pcie (default) or nvlink"
+        "usage:\n  sptrsv solve --matrix L.mtx [--rhs b.txt] [--algo NAME|auto] [--device pascal|volta|turing] [--cache] [--devices N [--link pcie|nvlink]] [--rhs-cols K] [--session N] [--profile trace.json [--profile-interval N]] [--cpu [THREADS]] [--out x.txt]\n  sptrsv stats --matrix L.mtx\n  sptrsv gen --kind powerlaw|circuit|stencil|lp|band --n N --out L.mtx [--seed S]\n  sptrsv serve --matrix L.mtx [--clients N] [--requests N] [--window MS] [--max-batch K] [--device pascal|volta|turing]\n  sptrsv --list-algos\n\nbatching:\n  --rhs-cols K  solve K right-hand sides per launch (SpTRSM); column r scales the base rhs by r+1\n  --session N   analyze once, then run N warm solves through the cached SolverSession\n\nserving:\n  --clients N   concurrent client threads hammering the solver service (default 4)\n  --requests N  requests per client (default 8)\n  --window MS   coalesce window in milliseconds; 0 disables batching (default 3)\n  --max-batch K cap on right-hand sides per coalesced launch (default 8)\n\nsimulation:\n  --cache             model a finite per-SM L1 + shared L2 for read-only loads and report hit rates\n  --devices N         shard the solve across N simulated devices (1..=8) joined by a modeled interconnect\n  --link KIND         interconnect class for --devices: pcie (default) or nvlink"
     );
 }
 
@@ -237,13 +237,6 @@ fn cmd_solve(args: &[String]) {
             }
         }
         .scaled_down(4);
-        if let Some(v) = flag_value(args, "--engine-threads") {
-            let threads = v.parse().ok().filter(|&t| t >= 1).unwrap_or_else(|| {
-                eprintln!("--engine-threads must be a positive integer, got {v}");
-                exit(2);
-            });
-            device = device.with_engine_threads(threads);
-        }
         let cache_on = has_flag(args, "--cache");
         if cache_on {
             device = device.with_cache(CacheConfig::small());

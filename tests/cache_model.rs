@@ -7,11 +7,13 @@
 //!    cache reshapes *timing*, the FLOP order per row is fixed by the
 //!    kernel. (The CSC scatter kernel's atomic-add order is timing-
 //!    dependent, so it promises closeness instead.)
-//! 2. **On is deterministic.** With the cache armed, every observable —
-//!    stats (hit counters included), solution bits, error text — must be
-//!    bit-identical across 1/2/4/8 engine clusters, under every memory
-//!    model × spin model combination, exactly like the cache-off engine
-//!    (`engine_cluster.rs`).
+//! 2. **On is deterministic.** With the cache armed, two identical solves
+//!    report identical stats, hit counters included, and every observable —
+//!    stats, solution bits, error text — is bit-identical whichever way the
+//!    engine advances parked warps: one visit at a time through the per-SM
+//!    visit heap (as a profiled launch does) or along a crowd walk, under
+//!    every memory model, and, under sequential consistency, replayed one
+//!    poll at a time (`SpinModel::Replay`).
 
 use capellini_sptrsv::core::kernels::{
     cusparse_like, hybrid, levelset, syncfree, syncfree_csc, two_phase, writing_first,
@@ -26,8 +28,6 @@ type Solve =
         &LowerTriangularCsr,
         &[f64],
     ) -> Result<capellini_sptrsv::core::kernels::SimSolve, capellini_sptrsv::simt::SimtError>;
-
-const CLUSTER_COUNTS: [usize; 3] = [2, 4, 8];
 
 fn kernels() -> Vec<(&'static str, Solve)> {
     vec![
@@ -61,26 +61,6 @@ fn cached_cfg() -> DeviceConfig {
 fn rhs(l: &LowerTriangularCsr) -> Vec<f64> {
     let x_true: Vec<f64> = (0..l.n()).map(|i| (i % 13) as f64 - 6.0).collect();
     linalg::rhs_for_solution(l, &x_true)
-}
-
-/// Renders everything observable about one run into a comparable string
-/// (same shape as `engine_cluster.rs::observe`).
-fn observe(
-    solve: Solve,
-    l: &LowerTriangularCsr,
-    b: &[f64],
-    cfg: &DeviceConfig,
-    threads: usize,
-) -> String {
-    let mut dev = GpuDevice::new(cfg.clone().with_engine_threads(threads));
-    let body = match solve(&mut dev, l, b) {
-        Ok(o) => {
-            let bits: Vec<u64> = o.x.iter().map(|v| v.to_bits()).collect();
-            format!("ok stats={:?} xbits={bits:?}", o.stats)
-        }
-        Err(e) => format!("err={e}"),
-    };
-    format!("{body} heap_events={}", dev.last_launch_heap_events())
 }
 
 // ------------------------------------------------------ contract 1: off
@@ -163,16 +143,43 @@ fn hit_rate_helpers_are_sane() {
 
 // ------------------------------------------------ contract 2: determinism
 
+/// Renders everything observable about one run into a comparable string:
+/// stats (hit counters included), solution bits or error text. The
+/// heap-event count comes back separately, since Replay runs one event per
+/// poll.
+fn observe(solve: Solve, l: &LowerTriangularCsr, b: &[f64], cfg: DeviceConfig) -> (String, u64) {
+    let mut dev = GpuDevice::new(cfg);
+    let body = match solve(&mut dev, l, b) {
+        Ok(o) => {
+            let bits: Vec<u64> = o.x.iter().map(|v| v.to_bits()).collect();
+            format!("ok stats={:?} xbits={bits:?}", o.stats)
+        }
+        Err(e) => format!("err={e}"),
+    };
+    (body, dev.last_launch_heap_events())
+}
+
+/// Compares a cache-armed FastForward run, which walks crowds, against the
+/// reference `cfg` names: the same launch profiled (every parked visit off
+/// the visit heap) when `cfg` fast-forwards, every poll replayed when it is
+/// `Replay`.
 fn diff_all(cfg: &DeviceConfig) {
+    let fast = cfg.spin_model == SpinModel::FastForward;
     for (mname, l) in &matrices() {
         let b = rhs(l);
         for (name, solve) in &kernels() {
-            let serial = observe(*solve, l, &b, cfg, 1);
-            for threads in CLUSTER_COUNTS {
-                let clustered = observe(*solve, l, &b, cfg, threads);
+            let oracle_cfg = cfg.clone().with_profile(ProfileMode::sampled(4_096));
+            let (oracle, oracle_events) = observe(*solve, l, &b, oracle_cfg);
+            let walked_cfg = cfg.clone().with_spin_model(SpinModel::FastForward);
+            let (walked, walked_events) = observe(*solve, l, &b, walked_cfg);
+            assert_eq!(
+                walked, oracle,
+                "{name} on {mname}: the crowd walk diverged from the reference"
+            );
+            if fast {
                 assert_eq!(
-                    clustered, serial,
-                    "{name} on {mname}: diverged at {threads} engine threads"
+                    walked_events, oracle_events,
+                    "{name} on {mname}: heap events"
                 );
             }
         }
@@ -187,15 +194,6 @@ fn cached_clusters_bit_exact_sc_replay() {
 #[test]
 fn cached_clusters_bit_exact_sc_fastforward() {
     diff_all(&cached_cfg().with_spin_model(SpinModel::FastForward));
-}
-
-#[test]
-fn cached_clusters_bit_exact_relaxed_replay() {
-    diff_all(
-        &cached_cfg()
-            .with_memory_model(MemoryModel::relaxed(2_000))
-            .with_spin_model(SpinModel::Replay),
-    );
 }
 
 #[test]

@@ -122,8 +122,6 @@ fn bad_batching_flags_are_usage_errors() {
         ("--rhs-cols", "three"),
         ("--session", "0"),
         ("--session", "-2"),
-        ("--engine-threads", "0"),
-        ("--engine-threads", "lots"),
         ("--profile-interval", "0"),
         ("--profile-interval", "often"),
     ] {

@@ -1,17 +1,20 @@
-//! Differential suite for the clustered parallel engine
-//! (`DeviceConfig::with_engine_threads`, DESIGN.md §11): partitioning the
-//! simulated SMs across host threads must be *observationally invisible* —
-//! identical `LaunchStats`, solutions, traces, profiles, and error
-//! diagnostics at every cluster count, under every memory model × spin
-//! model combination. The serial engine (1 thread) is the oracle; 2, 4 and
-//! 8 clusters must reproduce it bit-for-bit.
+//! Differential suite for the crowd walk (DESIGN.md §9): walking an SM's
+//! parked warps along their sorted slot residues, and accounting whole
+//! windows of them in closed form, must be *observationally invisible* —
+//! identical `LaunchStats`, solutions, heap events and error diagnostics as
+//! taking every parked visit off the SM's visit heap one at a time, under
+//! every memory model. A profiled launch does the latter (profiling wants
+//! every instruction, so it never walks or batches), and profiling itself
+//! is a pure observer (`profiling.rs`), so the same config with
+//! `ProfileMode::sampled` is the oracle. The file and test names date from
+//! the clustered engine this suite used to check against the serial one.
 
 use capellini_sptrsv::core::kernels::{
     cusparse_like, hybrid, levelset, scheduled, syncfree, syncfree_csc, two_phase, writing_first,
 };
 use capellini_sptrsv::prelude::*;
 use capellini_sptrsv::simt::config::StoreScope;
-use capellini_sptrsv::simt::{GpuDevice, ProfileMode, Trace};
+use capellini_sptrsv::simt::GpuDevice;
 use capellini_sptrsv::sparse::{gen, paper_example};
 
 type Solve =
@@ -20,8 +23,6 @@ type Solve =
         &LowerTriangularCsr,
         &[f64],
     ) -> Result<capellini_sptrsv::core::kernels::SimSolve, capellini_sptrsv::simt::SimtError>;
-
-const CLUSTER_COUNTS: [usize; 3] = [2, 4, 8];
 
 fn kernels() -> Vec<(&'static str, Solve)> {
     vec![
@@ -38,18 +39,22 @@ fn kernels() -> Vec<(&'static str, Solve)> {
 
 /// The same dataset miniature as `spin_fastforward.rs`: the paper's 8×8
 /// example, a serial chain (worst-case spin depth, maximal parking), a
-/// random DAG, and a banded matrix (mixed level widths).
+/// random DAG, and a banded matrix (mixed level widths), plus one of the
+/// benchmark's deep shapes, whose crowds collide.
 fn matrices() -> Vec<(&'static str, LowerTriangularCsr)> {
     vec![
         ("paper8", paper_example()),
         ("chain256", gen::chain(256, 1, 7)),
         ("randomk", gen::random_k(600, 3, 600, 42)),
         ("banded", gen::banded(400, 5, 0.6, 7)),
+        ("stencil3d8", gen::stencil3d(8, 8, 8, 1)),
     ]
 }
 
 fn base_cfg() -> DeviceConfig {
-    DeviceConfig::pascal_like().scaled_down(4)
+    DeviceConfig::pascal_like()
+        .scaled_down(4)
+        .with_spin_model(SpinModel::FastForward)
 }
 
 fn rhs(l: &LowerTriangularCsr) -> Vec<f64> {
@@ -57,18 +62,17 @@ fn rhs(l: &LowerTriangularCsr) -> Vec<f64> {
     linalg::rhs_for_solution(l, &x_true)
 }
 
-/// Runs one (kernel, matrix, config) cell at a given engine-thread count
-/// and renders *everything observable* into one comparable string: the full
-/// stats debug form, the solution bit patterns, the heap-event count, and —
-/// on failure — the complete error display.
-fn observe(
-    solve: Solve,
-    l: &LowerTriangularCsr,
-    b: &[f64],
-    cfg: &DeviceConfig,
-    threads: usize,
-) -> String {
-    let mut dev = GpuDevice::new(cfg.clone().with_engine_threads(threads));
+/// The per-visit reference for `cfg`: the same launch, profiled.
+fn per_visit(cfg: &DeviceConfig) -> DeviceConfig {
+    cfg.clone().with_profile(ProfileMode::sampled(4_096))
+}
+
+/// Runs one (kernel, matrix, config) cell and renders *everything
+/// observable* into one comparable string: the full stats debug form, the
+/// solution bit patterns, the heap-event count, and — on failure — the
+/// complete error display.
+fn observe(solve: Solve, l: &LowerTriangularCsr, b: &[f64], cfg: &DeviceConfig) -> String {
+    let mut dev = GpuDevice::new(cfg.clone());
     let body = match solve(&mut dev, l, b) {
         Ok(o) => {
             let bits: Vec<u64> = o.x.iter().map(|v| v.to_bits()).collect();
@@ -81,14 +85,12 @@ fn observe(
 
 fn diff_one(name: &str, mname: &str, solve: Solve, l: &LowerTriangularCsr, cfg: &DeviceConfig) {
     let b = rhs(l);
-    let serial = observe(solve, l, &b, cfg, 1);
-    for threads in CLUSTER_COUNTS {
-        let clustered = observe(solve, l, &b, cfg, threads);
-        assert_eq!(
-            clustered, serial,
-            "{name} on {mname}: diverged at {threads} engine threads"
-        );
-    }
+    let oracle = observe(solve, l, &b, &per_visit(cfg));
+    let walked = observe(solve, l, &b, cfg);
+    assert_eq!(
+        walked, oracle,
+        "{name} on {mname}: the crowd walk diverged from the per-visit engine"
+    );
 }
 
 fn diff_all(cfg: &DeviceConfig) {
@@ -100,61 +102,36 @@ fn diff_all(cfg: &DeviceConfig) {
 }
 
 #[test]
-fn clusters_bit_exact_sc_replay() {
-    diff_all(&base_cfg().with_spin_model(SpinModel::Replay));
-}
-
-#[test]
 fn clusters_bit_exact_sc_fastforward() {
-    diff_all(&base_cfg().with_spin_model(SpinModel::FastForward));
-}
-
-#[test]
-fn clusters_bit_exact_relaxed_replay() {
-    diff_all(
-        &base_cfg()
-            .with_memory_model(MemoryModel::relaxed(2_000))
-            .with_spin_model(SpinModel::Replay),
-    );
+    diff_all(&base_cfg());
 }
 
 #[test]
 fn clusters_bit_exact_relaxed_fastforward() {
-    diff_all(
-        &base_cfg()
-            .with_memory_model(MemoryModel::relaxed(2_000))
-            .with_spin_model(SpinModel::FastForward),
-    );
+    diff_all(&base_cfg().with_memory_model(MemoryModel::relaxed(2_000)));
 }
 
 #[test]
 fn clusters_bit_exact_relaxed_sm_scope() {
-    diff_all(
-        &base_cfg()
-            .with_memory_model(MemoryModel::Relaxed {
-                drain_ticks: 2_000,
-                scope: StoreScope::Sm,
-                racecheck: false,
-            })
-            .with_spin_model(SpinModel::FastForward),
-    );
+    diff_all(&base_cfg().with_memory_model(MemoryModel::Relaxed {
+        drain_ticks: 2_000,
+        scope: StoreScope::Sm,
+        racecheck: false,
+    }));
 }
 
 #[test]
 fn clusters_bit_exact_racecheck() {
-    diff_all(
-        &base_cfg()
-            .with_memory_model(MemoryModel::racecheck(2_000))
-            .with_spin_model(SpinModel::FastForward),
-    );
+    diff_all(&base_cfg().with_memory_model(MemoryModel::racecheck(2_000)));
 }
 
-/// The fixture that caught the lazy-SM wake-projection bug, at parallel
-/// scale: enough warps per SM that every cluster has real parked work.
+/// The fixture that caught the lazy-SM wake-projection bug, at a scale
+/// where every SM holds a crowd of parked warps. The walk must actually
+/// carry it, and the oracle must take every visit off the heap.
 #[test]
 fn clusters_bit_exact_on_golden_fixture() {
     let l = gen::random_k(3000, 3, 3000, 42);
-    let cfg = base_cfg().with_spin_model(SpinModel::FastForward);
+    let cfg = base_cfg();
     diff_one(
         "syncfree",
         "randomk3000",
@@ -169,92 +146,40 @@ fn clusters_bit_exact_on_golden_fixture() {
         &l,
         &cfg,
     );
-}
-
-/// Golden traces: the rendered event stream — every issue, retire, poll and
-/// wake with its tick — must be byte-identical across cluster counts.
-#[test]
-fn clustered_traces_bit_exact() {
-    let l = gen::random_k(600, 3, 600, 42);
     let b = rhs(&l);
-    let run_sf = |threads: usize| {
-        let mut dev = GpuDevice::new(base_cfg().with_engine_threads(threads));
-        let mut tr = Trace::new();
-        syncfree::solve_traced(&mut dev, &l, &b, &mut tr).unwrap();
-        tr.render()
-    };
-    let run_wf = |threads: usize| {
-        let mut dev = GpuDevice::new(base_cfg().with_engine_threads(threads));
-        let mut tr = Trace::new();
-        writing_first::solve_traced(&mut dev, &l, &b, &mut tr).unwrap();
-        tr.render()
-    };
-    let (sf, wf) = (run_sf(1), run_wf(1));
-    for threads in CLUSTER_COUNTS {
-        assert_eq!(run_sf(threads), sf, "syncfree trace diverged at {threads}");
-        assert_eq!(
-            run_wf(threads),
-            wf,
-            "writing_first trace diverged at {threads}"
-        );
-    }
-}
-
-/// Sampled stall-attribution profiles, including the spans reconstructed
-/// from fast-forwarded spins, must survive clustering bit-exactly.
-#[test]
-fn clustered_profiles_bit_exact() {
-    let l = gen::random_k(600, 3, 600, 42);
-    let b = rhs(&l);
-    let run = |threads: usize| {
-        let mut dev = GpuDevice::new(
-            base_cfg()
-                .with_profile(ProfileMode::sampled(64))
-                .with_engine_threads(threads),
-        );
+    let counters = |cfg: DeviceConfig| {
+        let mut dev = GpuDevice::new(cfg);
         syncfree::solve(&mut dev, &l, &b).unwrap();
-        format!("{:?}", dev.take_profiles())
+        dev.last_launch_ff_counters()
     };
-    let serial = run(1);
-    for threads in CLUSTER_COUNTS {
-        assert_eq!(run(threads), serial, "profile diverged at {threads}");
-    }
+    let (on, off) = (counters(cfg.clone()), counters(per_visit(&cfg)));
+    assert!(on.walk_instructions > 0, "{on:?}");
+    assert_eq!(
+        off.walk_instructions + off.closed_form_instructions,
+        0,
+        "{off:?}"
+    );
+    assert!(off.heap_visit_instructions > 0, "{off:?}");
+    assert_eq!((on.parks, on.wakes), (off.parks, off.wakes));
 }
 
 /// Timeout diagnostics: a run that exhausts its cycle budget must report
-/// the same error text — same cycle counts, same live-warp census — from
-/// the clustered engine as from the serial one.
+/// the same error text — same cycle counts, same live-warp census — with
+/// the crowd walk as with every visit taken off the heap.
 #[test]
 fn clustered_timeout_diagnostics_match_serial() {
     let l = gen::chain(256, 1, 7);
     let b = rhs(&l);
-    let mut cfg = base_cfg().with_spin_model(SpinModel::FastForward);
+    let mut cfg = base_cfg();
     cfg.max_cycles = 1_000; // far below the chain's dependency depth
-    let run = |threads: usize| {
-        let mut dev = GpuDevice::new(cfg.clone().with_engine_threads(threads));
+    let run = |cfg: DeviceConfig| {
+        let mut dev = GpuDevice::new(cfg);
         syncfree::solve(&mut dev, &l, &b).unwrap_err().to_string()
     };
-    let serial = run(1);
+    let oracle = run(per_visit(&cfg));
     assert!(
-        serial.contains("cycle budget"),
-        "expected a timeout: {serial}"
+        oracle.contains("cycle budget"),
+        "expected a timeout: {oracle}"
     );
-    for threads in CLUSTER_COUNTS {
-        assert_eq!(run(threads), serial, "timeout text diverged at {threads}");
-    }
-}
-
-/// A device with fewer SMs than requested clusters must clamp silently and
-/// still match — the edge where cluster partitions become single-SM.
-#[test]
-fn cluster_count_above_sm_count_clamps() {
-    let l = paper_example();
-    let b = rhs(&l);
-    let mut cfg = base_cfg();
-    cfg.sm_count = 2;
-    let serial = observe(syncfree::solve as Solve, &l, &b, &cfg, 1);
-    for threads in [2, 3, 64] {
-        let clustered = observe(syncfree::solve as Solve, &l, &b, &cfg, threads);
-        assert_eq!(clustered, serial, "diverged at {threads} threads on 2 SMs");
-    }
+    assert_eq!(run(cfg), oracle, "timeout text diverged");
 }

@@ -2,7 +2,7 @@
 //! splitting a solve across simulated devices joined by a modeled
 //! interconnect must be *numerically invisible* for every CSR-ordered
 //! kernel — the sharded solution is bit-for-bit the single-device one under
-//! every memory model × spin model × engine clustering combination, because
+//! every memory model × spin model combination, profiled or not, because
 //! each row still accumulates its partial sums in CSR column order and the
 //! link only changes *when* a dependency becomes visible, never *what*.
 //! The one exception is the CSC kernel, whose scatter-side atomics commit
@@ -108,9 +108,14 @@ fn sharded_bit_exact_racecheck() {
     );
 }
 
+/// The sharded differential on profiled launches, which take every parked
+/// visit off the visit heap: link-delivered wakes reach parked warps there
+/// rather than through a crowd walk, and must still leave the solution
+/// unmoved. The name dates from the clustered engine this test ran on
+/// before.
 #[test]
 fn sharded_bit_exact_clustered_engine() {
-    diff_all(&base_cfg().with_engine_threads(4));
+    diff_all(&base_cfg().with_profile(ProfileMode::sampled(4_096)));
 }
 
 /// A shard holding exactly one row (the warp-aligned tail cut) still

@@ -127,6 +127,58 @@ fn stats_bit_exact_on_golden_fixture() {
     );
 }
 
+/// The benchmark's deep, spin-heavy shapes: a chain, a 3-D stencil and a
+/// dense band. Their crowds of parked warps see short windows, residue
+/// collisions and wakes in the middle of a window, so Replay against
+/// FastForward here covers the crowd walk and its closed form.
+fn crowd_matrices() -> Vec<(&'static str, LowerTriangularCsr)> {
+    vec![
+        ("chain400k2", gen::chain(400, 2, 1)),
+        ("stencil3d10", gen::stencil3d(10, 10, 10, 1)),
+        ("denseband250", gen::dense_band(250, 30, 1)),
+    ]
+}
+
+fn diff_crowds(cfg: &DeviceConfig) {
+    for (mname, l) in &crowd_matrices() {
+        diff_one("syncfree", mname, syncfree::solve as Solve, l, cfg);
+        diff_one(
+            "writing_first",
+            mname,
+            writing_first::solve as Solve,
+            l,
+            cfg,
+        );
+    }
+}
+
+#[test]
+fn crowd_shapes_bit_exact_sc() {
+    diff_crowds(&base_cfg());
+}
+
+#[test]
+fn crowd_shapes_bit_exact_relaxed_warp_scope() {
+    diff_crowds(&base_cfg().with_memory_model(MemoryModel::relaxed(2_000)));
+}
+
+/// The crowd path carries the deep shapes: on each of them some virtual
+/// instructions come from walking a crowd or from its closed form, and
+/// none need the per-visit heap.
+#[test]
+fn crowds_take_the_walk_and_closed_form_paths() {
+    for (mname, l) in &crowd_matrices() {
+        let (_, b) = rhs(l);
+        let mut dev = GpuDevice::new(base_cfg());
+        syncfree::solve(&mut dev, l, &b).unwrap();
+        let c = dev.last_launch_ff_counters();
+        assert!(c.parks > 0 && c.wakes > 0, "{mname}: {c:?}");
+        assert!(c.walk_instructions > 0, "{mname}: {c:?}");
+        assert!(c.closed_form_instructions > 0, "{mname}: {c:?}");
+        assert_eq!(c.heap_visit_instructions, 0, "{mname}: {c:?}");
+    }
+}
+
 /// Traced launches must interleave reconstructed spin iterations into the
 /// event stream exactly where the replayed polls would have been.
 #[test]
@@ -235,31 +287,30 @@ fn naive_intra_warp_cycle_deadlocks_immediately() {
     }
 }
 
-/// The clustered engine (`with_engine_threads`) must report the *same*
-/// provable deadlock with byte-identical diagnostics — same cycle, same
-/// last-progress, same waiter graph in the same order — as the serial
-/// engine. Error paths are where divergence would hide: the deadlock
-/// snapshot reads the spin registry that eager cluster advancement mutates.
+/// The crowd walk must report the *same* provable deadlock with
+/// byte-identical diagnostics — same cycle, same last-progress, same waiter
+/// graph in the same order — as a profiled launch, which takes every parked
+/// visit off the visit heap. Error paths are where divergence would hide:
+/// the deadlock snapshot reads the parked warps' cursors that the walk
+/// advances. The name dates from the clustered engine this test compared
+/// before.
 #[test]
 fn clustered_deadlock_diagnostics_are_byte_identical() {
     let l = gen::chain(64, 1, 1);
     let (_, b) = rhs(&l);
     let cfg = DeviceConfig::pascal_like().with_spin_model(SpinModel::FastForward);
-    let run = |threads: usize| {
-        let mut dev = GpuDevice::new(cfg.clone().with_engine_threads(threads));
+    let run = |cfg: DeviceConfig| {
+        let mut dev = GpuDevice::new(cfg);
         let err = naive::solve(&mut dev, &l, &b).unwrap_err();
         assert!(
             matches!(err, SimtError::Deadlock { .. }),
-            "expected deadlock at {threads} engine threads, got {err:?}"
+            "expected deadlock, got {err:?}"
         );
         err.to_string()
     };
-    let serial = run(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            run(threads),
-            serial,
-            "deadlock diagnostics diverged at {threads} engine threads"
-        );
-    }
+    assert_eq!(
+        run(cfg.clone()),
+        run(cfg.with_profile(ProfileMode::sampled(4_096))),
+        "deadlock diagnostics diverged between the crowd walk and the per-visit path"
+    );
 }
