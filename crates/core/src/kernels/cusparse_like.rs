@@ -13,13 +13,11 @@
 //!   which raises its dependency-stall percentage — cuSPARSE shows the
 //!   highest stall rates in the paper's Figure 8b.
 
-use capellini_simt::{
-    BufU32, Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, WarpKernel, PC_EXIT,
-};
+use capellini_simt::{BufU32, Effect, GpuDevice, LaneMem, Pc, SimtError, WarpKernel, PC_EXIT};
 use capellini_sparse::LowerTriangularCsr;
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
-use crate::kernels::{run_on_fresh_device, SimSolve};
+use crate::kernels::SimSolve;
 
 const P_LD_INFO: Pc = 0;
 const P_LD_BEGIN: Pc = 1;
@@ -53,8 +51,8 @@ pub struct CusparseLikeKernel {
 }
 
 impl CusparseLikeKernel {
-    /// Builds the kernel from pre-uploaded state — the sharded path
-    /// (`crate::shard`), which restricts the row range via a wrapper.
+    /// Builds the kernel from pre-uploaded state, including the info array
+    /// (a `plan::Plan` builds that once).
     pub(crate) fn new(m: DeviceCsr, sb: SolveBuffers, info: BufU32, warp_size: usize) -> Self {
         CusparseLikeKernel {
             m,
@@ -273,44 +271,13 @@ impl WarpKernel for CusparseLikeKernel {
     }
 }
 
-/// Runs the cuSPARSE-like solver (analysis info built host-side).
-pub fn launch(
-    dev: &mut GpuDevice,
-    m: DeviceCsr,
-    sb: SolveBuffers,
-) -> Result<LaunchStats, SimtError> {
-    // The "analysis" output: per-row nonzero counts.
-    let info = crate::kernels::cusparse_like_multi::build_info(dev, m);
-    launch_with_info(dev, m, sb, info)
-}
-
-/// Runs the cuSPARSE-like solver against a pre-built analysis info array —
-/// the session path, which amortizes the info build across solves.
-pub fn launch_with_info(
-    dev: &mut GpuDevice,
-    m: DeviceCsr,
-    sb: SolveBuffers,
-    info: BufU32,
-) -> Result<LaunchStats, SimtError> {
-    let ws = dev.config().warp_size;
-    dev.launch(
-        &CusparseLikeKernel {
-            m,
-            sb,
-            info,
-            warp_size: ws as u32,
-        },
-        m.n,
-    )
-}
-
-/// Convenience: upload, solve, read back.
+/// Convenience: upload, build the info array, solve, read back.
 pub fn solve(
     dev: &mut GpuDevice,
     l: &LowerTriangularCsr,
     b: &[f64],
 ) -> Result<SimSolve, SimtError> {
-    run_on_fresh_device(dev, l, b, launch)
+    crate::plan::solve_once(dev, l, b, crate::select::Algorithm::CusparseLike).map(|(sim, _)| sim)
 }
 
 #[cfg(test)]

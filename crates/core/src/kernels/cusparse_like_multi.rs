@@ -297,7 +297,7 @@ impl WarpKernel for CusparseLikeMultiKernel {
 }
 
 /// Builds the "analysis" info array (per-row nonzero counts) from the
-/// already-uploaded `row_ptr` — the piece a session caches across solves.
+/// already-uploaded `row_ptr` — the piece a `plan::Plan` keeps.
 pub fn build_info(dev: &mut GpuDevice, m: DeviceCsr) -> BufU32 {
     let row_ptr = dev.mem_ref().read_u32(m.row_ptr).to_vec();
     let info: Vec<u32> = row_ptr.windows(2).map(|w| w[1] - w[0]).collect();

@@ -18,9 +18,7 @@
 //! individually live (Writing-First's finalize-first order; SyncFree's
 //! cross-warp-only spins).
 
-use capellini_simt::{
-    BufU32, Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, WarpKernel, PC_EXIT,
-};
+use capellini_simt::{BufU32, Effect, GpuDevice, LaneMem, Pc, SimtError, WarpKernel, PC_EXIT};
 use capellini_sparse::LowerTriangularCsr;
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
@@ -138,9 +136,8 @@ pub struct HybridKernel {
 }
 
 impl HybridKernel {
-    /// Builds the kernel against an explicit task list — the sharded path
-    /// (`crate::shard`), which filters the global plan down to one shard's
-    /// rows before uploading.
+    /// Builds the kernel against an uploaded task list (the whole-matrix
+    /// plan, or one shard's filtered slice of it).
     pub(crate) fn new(m: DeviceCsr, sb: SolveBuffers, tasks: BufU32, warp_size: usize) -> Self {
         HybridKernel {
             m,
@@ -151,7 +148,7 @@ impl HybridKernel {
     }
 }
 
-/// Uploads an explicit task list (sharded path); returns the device buffer.
+/// Uploads an encoded task list; returns the device buffer.
 pub(crate) fn upload_task_list(dev: &mut GpuDevice, tasks: &[Task]) -> BufU32 {
     let encoded: Vec<u32> = tasks.iter().map(|t| t.encode()).collect();
     dev.mem().alloc_u32(&encoded)
@@ -466,55 +463,6 @@ impl WarpKernel for HybridKernel {
     }
 }
 
-/// Plans the task list on the host and uploads the encoded tasks, returning
-/// the device buffer and the task count (= grid warps). The session layer
-/// calls this once and replays the plan across solves.
-pub fn upload_tasks(
-    dev: &mut GpuDevice,
-    l: &LowerTriangularCsr,
-    threshold: f64,
-) -> (BufU32, usize) {
-    let ws = dev.config().warp_size;
-    let tasks = plan_tasks(l, ws, threshold);
-    let encoded: Vec<u32> = tasks.iter().map(|t| t.encode()).collect();
-    let n_tasks = encoded.len();
-    (dev.mem().alloc_u32(&encoded), n_tasks)
-}
-
-/// Runs the hybrid solver with the given threshold.
-pub fn launch_with_threshold(
-    dev: &mut GpuDevice,
-    m: DeviceCsr,
-    sb: SolveBuffers,
-    l: &LowerTriangularCsr,
-    threshold: f64,
-) -> Result<LaunchStats, SimtError> {
-    let (tasks, n_tasks) = upload_tasks(dev, l, threshold);
-    launch_with_tasks(dev, m, sb, tasks, n_tasks)
-}
-
-/// Runs the hybrid kernel against an already-uploaded task plan — the
-/// session path, which plans once and reuses the encoded tasks across
-/// solves. `n_tasks` is the task count (= grid warps).
-pub fn launch_with_tasks(
-    dev: &mut GpuDevice,
-    m: DeviceCsr,
-    sb: SolveBuffers,
-    tasks: BufU32,
-    n_tasks: usize,
-) -> Result<LaunchStats, SimtError> {
-    let ws = dev.config().warp_size;
-    dev.launch(
-        &HybridKernel {
-            m,
-            sb,
-            tasks,
-            warp_size: ws as u32,
-        },
-        n_tasks,
-    )
-}
-
 /// Convenience: upload, solve with the default threshold, read back.
 pub fn solve(
     dev: &mut GpuDevice,
@@ -532,7 +480,10 @@ pub fn solve_with_threshold(
     threshold: f64,
 ) -> Result<SimSolve, SimtError> {
     run_on_fresh_device(dev, l, b, |dev, m, sb| {
-        launch_with_threshold(dev, m, sb, l, threshold)
+        let ws = dev.config().warp_size;
+        let tasks = plan_tasks(l, ws, threshold);
+        let buf = upload_task_list(dev, &tasks);
+        dev.launch(&HybridKernel::new(m, sb, buf, ws), tasks.len())
     })
 }
 

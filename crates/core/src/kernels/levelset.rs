@@ -167,21 +167,9 @@ impl WarpKernel for LevelSolveKernel {
     }
 }
 
-/// Runs Level-Set SpTRSV: one launch per level over a precomputed analysis.
-/// Returns the accumulated statistics of all launches.
-pub fn launch_with_levels(
-    dev: &mut GpuDevice,
-    m: DeviceCsr,
-    sb: SolveBuffers,
-    levels: &LevelSets,
-) -> Result<LaunchStats, SimtError> {
-    let order = dev.mem().alloc_u32(levels.order());
-    launch_with_uploaded_levels(dev, m, sb, levels, order)
-}
-
 /// Runs Level-Set SpTRSV against an `order` array already resident on the
-/// device — the session path, which uploads the analysis once and reuses it
-/// across solves.
+/// device: one launch per level, accumulated statistics. A `plan::Plan`
+/// uploads the analysis once and reuses it across solves.
 pub fn launch_with_uploaded_levels(
     dev: &mut GpuDevice,
     m: DeviceCsr,
@@ -212,20 +200,13 @@ pub fn launch_with_uploaded_levels(
     Ok(total)
 }
 
-/// Convenience: analyze levels on the host, upload, solve, read back.
+/// Convenience: upload, analyze levels, solve, read back.
 pub fn solve(
     dev: &mut GpuDevice,
     l: &LowerTriangularCsr,
     b: &[f64],
 ) -> Result<SimSolve, SimtError> {
-    let levels = LevelSets::analyze(l);
-    let dm = DeviceCsr::upload(dev, l);
-    let sb = SolveBuffers::upload(dev, b);
-    let stats = launch_with_levels(dev, dm, sb, &levels)?;
-    Ok(SimSolve {
-        x: sb.read_x(dev),
-        stats,
-    })
+    crate::plan::solve_once(dev, l, b, crate::select::Algorithm::LevelSet).map(|(sim, _)| sim)
 }
 
 #[cfg(test)]

@@ -1,24 +1,30 @@
 //! The SpTRSV kernels, one module per algorithm:
 //!
-//! | module | paper | granularity | storage |
-//! |---|---|---|---|
-//! | [`levelset`] | Algorithm 2 (Anderson & Saad / Saltz) | thread, per-level launches | CSR + level analysis |
-//! | [`syncfree`] | Algorithm 3 (Liu et al. [20]) | one **warp** per component | CSR arrays (CSC conversion charged as preprocessing) |
-//! | [`syncfree_csc`] | Liu et al.'s original CSC scatter formulation | one warp per **column**, atomics | CSC + in-degree analysis |
-//! | [`naive`] | §3.3 straw man | one thread per component, bare busy-wait | CSR |
-//! | [`two_phase`] | Algorithm 4 — Two-Phase CapelliniSpTRSV | one **thread** per component | CSR |
-//! | [`writing_first`] | Algorithm 5 — Writing-First CapelliniSpTRSV | one **thread** per component | CSR |
-//! | [`writing_first_multi`] | the multiple-right-hand-sides extension (Liu et al. [21]) | thread, k accumulators | CSR |
-//! | [`cusparse_like`] | cuSPARSE black-box stand-in (§2.4) | warp | CSR + analysis |
-//! | [`cusparse_like_multi`] | its `csrsm2` (SpTRSM) analogue | warp, k accumulators | CSR + analysis |
-//! | [`syncfree_multi`] | SyncFree over k right-hand sides (Liu et al. [21]) | warp, k accumulators | CSR |
-//! | [`hybrid`] | §4.4 warp/thread fusion (future work) | mixed | CSR + row-block analysis |
-//! | [`scheduled`] | level-coarsened work units (arXiv 2503.05408) | one warp per unit, per-unit flags | CSR + coarsened schedule |
+//! | module | paper | granularity | storage | `plan::Plan` variant |
+//! |---|---|---|---|---|
+//! | [`levelset`] | Algorithm 2 (Anderson & Saad / Saltz) | thread, per-level launches | CSR + level analysis | `LevelSet` (level order) |
+//! | [`syncfree`] | Algorithm 3 (Liu et al. [20]) | one **warp** per component | CSR arrays (CSC conversion charged as preprocessing) | `SyncFree` |
+//! | [`syncfree_csc`] | Liu et al.'s original CSC scatter formulation | one warp per **column**, atomics | CSC + in-degree analysis | `SyncFreeCsc` (CSC + in-degrees) |
+//! | [`naive`] | §3.3 straw man | one thread per component, bare busy-wait | CSR | `Naive` |
+//! | [`two_phase`] | Algorithm 4 — Two-Phase CapelliniSpTRSV | one **thread** per component | CSR | `TwoPhase` |
+//! | [`writing_first`] | Algorithm 5 — Writing-First CapelliniSpTRSV | one **thread** per component | CSR | `WritingFirst` |
+//! | [`writing_first_multi`] | the multiple-right-hand-sides extension (Liu et al. [21]) | thread, k accumulators | CSR | `WritingFirst`, via `launch_multi` |
+//! | [`cusparse_like`] | cuSPARSE black-box stand-in (§2.4) | warp | CSR + analysis | `CusparseLike` (info) |
+//! | [`cusparse_like_multi`] | its `csrsm2` (SpTRSM) analogue | warp, k accumulators | CSR + analysis | `CusparseLike`, via `launch_multi` |
+//! | [`syncfree_multi`] | SyncFree over k right-hand sides (Liu et al. [21]) | warp, k accumulators | CSR | `SyncFree`, via `launch_multi` |
+//! | [`hybrid`] | §4.4 warp/thread fusion (future work) | mixed | CSR + row-block analysis | `Hybrid` (task list) |
+//! | [`scheduled`] | level-coarsened work units (arXiv 2503.05408) | one warp per unit, per-unit flags | CSR + coarsened schedule | `Scheduled` (schedule) |
 //!
 //! The three `*_multi` modules batch `k` right-hand sides per launch for
 //! the evaluation trio; per column their floating-point schedule matches
 //! the single-RHS kernel exactly, so batched solves are bit-identical to
 //! looped ones (pinned by `tests/batched.rs`).
+//!
+//! Each module's `solve`/`launch` helpers drive one kernel on a caller's
+//! device (the golden traces and kernel tests use them). The library's
+//! solve entry points go through `plan::Plan`, which holds each
+//! algorithm's analysis and is the one place the algorithms are
+//! dispatched.
 
 pub mod cusparse_like;
 pub mod cusparse_like_multi;
@@ -55,7 +61,7 @@ pub(crate) fn run_on_fresh_device(
     b: &[f64],
     solve: impl FnOnce(&mut GpuDevice, DeviceCsr, SolveBuffers) -> Result<LaunchStats, SimtError>,
 ) -> Result<SimSolve, SimtError> {
-    assert_eq!(b.len(), l.n(), "rhs length must equal matrix dimension");
+    crate::plan::check_rhs(b, l.n())?;
     let dm = DeviceCsr::upload(dev, l);
     let sb = SolveBuffers::upload(dev, b);
     let stats = solve(dev, dm, sb)?;

@@ -54,10 +54,10 @@
 use capellini_simt::{
     BufU32, Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, WarpKernel, PC_EXIT,
 };
-use capellini_sparse::{LevelSets, LowerTriangularCsr, Schedule, ScheduleParams};
+use capellini_sparse::{LowerTriangularCsr, Schedule};
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
-use crate::kernels::{run_on_fresh_device, SimSolve};
+use crate::kernels::SimSolve;
 
 /// Off-diagonal entries staged in shared memory per row. Rows with more
 /// spill to global loads during resolve. 32 covers every generator in the
@@ -158,7 +158,7 @@ const P_BR_LANE0: Pc = 75;
 const P_ST_FLAG: Pc = 76;
 
 /// The schedule arrays resident on one device, as produced by
-/// [`upload_schedule`] and replayed across solves by the session layer.
+/// [`upload_schedule`] and kept by a `plan::Plan` across solves.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceSchedule {
     /// Rows grouped by unit ([`Schedule::rows`]).
@@ -183,17 +183,6 @@ pub fn upload_schedule(dev: &mut GpuDevice, s: &Schedule) -> DeviceSchedule {
     }
 }
 
-/// Analyzes, coarsens with the device's warp-tuned defaults, and uploads —
-/// the cold path. The session layer splits this so the analysis is charged
-/// once.
-pub fn build_and_upload(dev: &mut GpuDevice, l: &LowerTriangularCsr) -> (Schedule, DeviceSchedule) {
-    let ws = dev.config().warp_size;
-    let levels = LevelSets::analyze(l);
-    let s = Schedule::build(l, &levels, ScheduleParams::for_warp(ws));
-    let ds = upload_schedule(dev, &s);
-    (s, ds)
-}
-
 /// The scheduled kernel: one warp per work unit.
 pub struct ScheduledKernel {
     m: DeviceCsr,
@@ -203,9 +192,9 @@ pub struct ScheduledKernel {
 }
 
 impl ScheduledKernel {
-    /// Builds the kernel against a hand-assembled [`DeviceSchedule`] — the
-    /// sharded path (`crate::shard`), which strips ghost rows out of a
-    /// per-shard schedule instead of using [`upload_schedule`].
+    /// Builds the kernel against a [`DeviceSchedule`]: one from
+    /// [`upload_schedule`], or one the sharded path (`crate::shard`)
+    /// assembles after stripping ghost rows out of a per-shard schedule.
     pub(crate) fn new(
         m: DeviceCsr,
         sb: SolveBuffers,
@@ -798,8 +787,8 @@ impl WarpKernel for ScheduledKernel {
     }
 }
 
-/// Runs the scheduled kernel against an already-uploaded schedule — the
-/// session path, one warp per unit.
+/// Runs the scheduled kernel against an already-uploaded schedule, one
+/// warp per unit.
 pub fn launch_with_schedule(
     dev: &mut GpuDevice,
     m: DeviceCsr,
@@ -807,35 +796,17 @@ pub fn launch_with_schedule(
     sched: DeviceSchedule,
 ) -> Result<LaunchStats, SimtError> {
     let ws = dev.config().warp_size;
-    dev.launch(
-        &ScheduledKernel {
-            m,
-            sb,
-            sched,
-            warp_size: ws as u32,
-        },
-        sched.n_units,
-    )
+    dev.launch(&ScheduledKernel::new(m, sb, sched, ws), sched.n_units)
 }
 
-/// Cold path: analyze + coarsen + upload + launch.
-pub fn launch(
-    dev: &mut GpuDevice,
-    m: DeviceCsr,
-    sb: SolveBuffers,
-    l: &LowerTriangularCsr,
-) -> Result<LaunchStats, SimtError> {
-    let (_, ds) = build_and_upload(dev, l);
-    launch_with_schedule(dev, m, sb, ds)
-}
-
-/// Convenience: upload, solve, read back.
+/// Convenience: upload, analyze and coarsen with the device's warp-tuned
+/// defaults, solve, read back.
 pub fn solve(
     dev: &mut GpuDevice,
     l: &LowerTriangularCsr,
     b: &[f64],
 ) -> Result<SimSolve, SimtError> {
-    run_on_fresh_device(dev, l, b, |dev, m, sb| launch(dev, m, sb, l))
+    crate::plan::solve_once(dev, l, b, crate::select::Algorithm::Scheduled).map(|(sim, _)| sim)
 }
 
 #[cfg(test)]
@@ -843,7 +814,7 @@ mod tests {
     use super::*;
     use crate::kernels::testutil::{check_against_reference, problem, test_devices, test_matrices};
     use capellini_simt::{DeviceConfig, GpuDevice, MemoryModel, SpinModel};
-    use capellini_sparse::gen;
+    use capellini_sparse::{gen, LevelSets, ScheduleParams};
 
     #[test]
     fn solves_all_test_matrices_on_all_devices() {

@@ -21,7 +21,7 @@
 //! lanes exactly the same way.
 
 use capellini_simt::{
-    BufF64, BufU32, Effect, GpuDevice, LaneMem, LaunchStats, Pc, SimtError, WarpKernel, PC_EXIT,
+    BufF64, BufU32, Effect, GpuDevice, LaneMem, Pc, SimtError, WarpKernel, PC_EXIT,
 };
 use capellini_sparse::{CscMatrix, LowerTriangularCsr};
 
@@ -263,8 +263,8 @@ pub fn in_degrees(csc: &CscMatrix) -> Vec<u32> {
 }
 
 /// The device-resident CSC structure plus the *consumable* scatter state
-/// (`left_sum`, `in_degree`). A session uploads this once and re-arms the
-/// consumable arrays between solves via [`rearm`].
+/// (`left_sum`, `in_degree`). A `plan::Plan` uploads this once
+/// and re-arms the consumable arrays before every launch via [`rearm`].
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceCsc {
     /// Matrix dimension.
@@ -304,35 +304,13 @@ pub fn rearm(dev: &mut GpuDevice, dc: DeviceCsc, deg: &[u32]) {
     mem.fill_f64(dc.left_sum, 0.0);
 }
 
-/// Launches the column-scatter kernel on pre-uploaded (and armed) state.
-pub fn launch_uploaded(
-    dev: &mut GpuDevice,
-    dc: DeviceCsc,
-    b: BufF64,
-    x: BufF64,
-) -> Result<LaunchStats, SimtError> {
-    let ws = dev.config().warp_size;
-    let kernel = SyncFreeCscKernel {
-        n: dc.n,
-        col_ptr: dc.col_ptr,
-        row_idx: dc.row_idx,
-        values: dc.values,
-        b,
-        x,
-        left_sum: dc.left_sum,
-        in_degree: dc.in_degree,
-        warp_size: ws as u32,
-    };
-    dev.launch(&kernel, dc.n)
-}
-
 /// Uploads the CSC system and runs the column-scatter SyncFree solver.
 pub fn solve(
     dev: &mut GpuDevice,
     l: &LowerTriangularCsr,
     b: &[f64],
 ) -> Result<SimSolve, SimtError> {
-    assert_eq!(b.len(), l.n(), "rhs length must equal matrix dimension");
+    crate::plan::check_rhs(b, l.n())?;
     let csc = l.csr().to_csc();
     let deg = in_degrees(&csc);
     let n = l.n();
@@ -340,20 +318,11 @@ pub fn solve(
     let mem = dev.mem();
     let b = mem.alloc_f64(b);
     let x = mem.alloc_f64_zeroed(n);
-    let stats = launch_uploaded(dev, dc, b, x)?;
+    let stats = dev.launch(&SyncFreeCscKernel::new(dc, b, x, dev.config().warp_size), n)?;
     Ok(SimSolve {
         x: dev.mem_ref().read_f64(x).to_vec(),
         stats,
     })
-}
-
-/// The launch statistics plus solution, as a `LaunchStats` convenience.
-pub fn launch_stats_only(
-    dev: &mut GpuDevice,
-    l: &LowerTriangularCsr,
-    b: &[f64],
-) -> Result<LaunchStats, SimtError> {
-    solve(dev, l, b).map(|s| s.stats)
 }
 
 #[cfg(test)]

@@ -229,8 +229,8 @@ impl WarpKernel for WritingFirstMultiKernel {
     }
 }
 
-/// Launches the batched kernel on pre-uploaded device state — the session
-/// path (one thread per row, `mb.nrhs` right-hand sides per launch).
+/// Launches the batched kernel on pre-uploaded device state (one thread per
+/// row, `mb.nrhs` right-hand sides per launch).
 pub fn launch_multi(
     dev: &mut GpuDevice,
     m: DeviceCsr,

@@ -30,6 +30,7 @@ pub mod buffers;
 pub mod cpu;
 pub mod iterative;
 pub mod kernels;
+mod plan;
 pub mod reference;
 pub mod select;
 pub mod service;

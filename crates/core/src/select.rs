@@ -81,6 +81,12 @@ impl Algorithm {
         ]
     }
 
+    /// True for the evaluation trio, the three algorithms with a dedicated
+    /// SpTRSM (multi-right-hand-side) kernel.
+    pub fn has_batched_kernel(self) -> bool {
+        Self::evaluation_trio().contains(&self)
+    }
+
     /// All live algorithms (excludes the deadlocking straw man).
     pub fn all_live() -> [Algorithm; 8] {
         [

@@ -455,12 +455,8 @@ impl SolverService {
         matrix: &MatrixHandle,
         b: &[f64],
     ) -> Result<ServiceResponse, ServiceError> {
-        let n = matrix.matrix().n();
-        if b.len() != n {
-            return Err(ServiceError::BadRequest(format!(
-                "rhs length {} does not match matrix dimension {n}",
-                b.len()
-            )));
+        if let Err(SimtError::Launch(msg)) = crate::plan::check_rhs(b, matrix.matrix().n()) {
+            return Err(ServiceError::BadRequest(msg));
         }
         loop {
             let entry = self.admit(matrix)?;

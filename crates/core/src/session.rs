@@ -11,9 +11,10 @@
 //!
 //! * the matrix fingerprint ([`capellini_sparse::fingerprint`]) identifying
 //!   what the cached analysis belongs to,
-//! * the host-side analysis products (statistics, level sets, in-degrees),
-//! * the device-resident analysis products (CSR arrays, level order, the
-//!   cuSPARSE-style row info, the hybrid task plan, the CSC scatter arrays),
+//! * the matrix statistics and the device-resident CSR arrays,
+//! * the algorithm's `Plan` (level order, cuSPARSE-style row info, hybrid
+//!   task list, CSC scatter arrays or coarsened schedule), built after the
+//!   pool so device memory is laid out exactly like a cold solve's,
 //! * a pooled `b`/`x`/`get_value` allocation reused across solves (with
 //!   full-capacity scrubbing so a smaller solve never observes a larger
 //!   predecessor — see [`PooledSolveBuffers`]),
@@ -25,34 +26,15 @@
 
 use std::collections::BTreeMap;
 
-use capellini_simt::{BufU32, DeviceConfig, GpuDevice, HostCostModel, LaunchStats, SimtError};
-use capellini_sparse::{fingerprint, LevelSets, LowerTriangularCsr, MatrixStats, RowPartition};
+use capellini_simt::{DeviceConfig, GpuDevice, LaunchStats, SimtError};
+use capellini_sparse::{fingerprint, LowerTriangularCsr, MatrixStats, RowPartition};
 
 use crate::buffers::{DeviceCsr, PooledSolveBuffers};
-use crate::kernels;
-use crate::kernels::syncfree_csc::DeviceCsc;
+use crate::kernels::SimSolve;
+use crate::plan::{check_block, check_rhs, Plan};
 use crate::select::{recommend, Algorithm};
 use crate::shard::{solve_sharded_with_partition, ShardConfig, ShardedReport};
-use crate::solver::{MultiSolveReport, SolveReport};
-
-/// Per-algorithm cached analysis state, computed once at session creation.
-enum Analysis {
-    /// No analysis products beyond the CSR upload (Writing-First, Two-Phase,
-    /// SyncFree, Naive).
-    Plain,
-    /// Level-set analysis plus the device-resident solve order (Level-Set).
-    Levels { levels: LevelSets, order: BufU32 },
-    /// The cuSPARSE-style per-row info array (cuSPARSE-like).
-    Info(BufU32),
-    /// The encoded warp/thread task plan (Hybrid).
-    Tasks { tasks: BufU32, n_tasks: usize },
-    /// CSC transpose, scatter arrays, and the host copy of the in-degrees
-    /// used to re-arm the consumable countdown before every solve
-    /// (SyncFree-CSC).
-    Csc { dc: DeviceCsc, deg: Vec<u32> },
-    /// The device-resident coarsened work-unit schedule (Scheduled).
-    Sched(kernels::scheduled::DeviceSchedule),
-}
+use crate::solver::{solve_columns, MultiSolveReport, SolveReport};
 
 /// A solver bound to one matrix *and one device*: all analysis runs at
 /// construction, every subsequent solve reuses it. See the module docs.
@@ -62,11 +44,9 @@ pub struct SolverSession {
     l: LowerTriangularCsr,
     stats: MatrixStats,
     fp: u64,
-    algorithm: Algorithm,
-    analysis_ms: f64,
     dm: DeviceCsr,
     pool: PooledSolveBuffers,
-    analysis: Analysis,
+    plan: Plan,
     solves: u64,
     /// Row partitions cached per device count for [`SolverSession::solve_sharded`].
     partitions: BTreeMap<usize, RowPartition>,
@@ -98,7 +78,9 @@ impl SolverSession {
     }
 
     /// Shared constructor body: takes the already-computed statistics so
-    /// neither entry point pays the statistics pass twice.
+    /// neither entry point pays the statistics pass twice. Device memory is
+    /// laid out like a cold solve's: CSR, then the pooled `b`/`x`/flags,
+    /// then the plan.
     fn build(
         config: &DeviceConfig,
         l: LowerTriangularCsr,
@@ -106,66 +88,19 @@ impl SolverSession {
         stats: MatrixStats,
     ) -> Self {
         let mut dev = GpuDevice::new(config.clone());
-        let host = HostCostModel::default();
-        let n = l.n();
-        let nnz = l.nnz();
         let fp = fingerprint(&l);
         let dm = DeviceCsr::upload(&mut dev, &l);
-
-        let (analysis, analysis_ms) = match algorithm {
-            Algorithm::LevelSet => {
-                let levels = LevelSets::analyze(&l);
-                let pre = host.levelset_preprocessing_ms(n, nnz, levels.n_levels());
-                let order = dev.mem().alloc_u32(levels.order());
-                (Analysis::Levels { levels, order }, pre)
-            }
-            Algorithm::SyncFree => (Analysis::Plain, host.syncfree_preprocessing_ms(n, nnz)),
-            Algorithm::SyncFreeCsc => {
-                let pre = host.syncfree_preprocessing_ms(n, nnz) + (n as f64 * 0.3) / 1e6;
-                let csc = l.csr().to_csc();
-                let deg = kernels::syncfree_csc::in_degrees(&csc);
-                let dc = kernels::syncfree_csc::upload_csc(&mut dev, &csc, &deg);
-                (Analysis::Csc { dc, deg }, pre)
-            }
-            Algorithm::CusparseLike => {
-                let pre = host.cusparse_preprocessing_ms(n, nnz);
-                let info = kernels::cusparse_like_multi::build_info(&mut dev, dm);
-                (Analysis::Info(info), pre)
-            }
-            Algorithm::CapelliniTwoPhase
-            | Algorithm::CapelliniWritingFirst
-            | Algorithm::NaiveThread => (Analysis::Plain, host.capellini_preprocessing_ms(n)),
-            Algorithm::Hybrid => {
-                let pre = host.capellini_preprocessing_ms(n) + (n as f64 * 1.2) / 1e6;
-                let (tasks, n_tasks) =
-                    kernels::hybrid::upload_tasks(&mut dev, &l, kernels::hybrid::DEFAULT_THRESHOLD);
-                (Analysis::Tasks { tasks, n_tasks }, pre)
-            }
-            Algorithm::Scheduled => {
-                let levels = LevelSets::analyze(&l);
-                let pre = host.scheduled_preprocessing_ms(n, nnz, levels.n_levels());
-                let schedule = capellini_sparse::Schedule::build(
-                    &l,
-                    &levels,
-                    capellini_sparse::ScheduleParams::for_warp(config.warp_size),
-                );
-                let ds = kernels::scheduled::upload_schedule(&mut dev, &schedule);
-                (Analysis::Sched(ds), pre)
-            }
-        };
-
-        let pool = PooledSolveBuffers::new(&mut dev, n, n);
+        let pool = PooledSolveBuffers::new(&mut dev, l.n(), l.n());
+        let plan = Plan::build(&mut dev, &l, dm, algorithm);
         SolverSession {
             config: config.clone(),
             dev,
             l,
             stats,
             fp,
-            algorithm,
-            analysis_ms,
             dm,
             pool,
-            analysis,
+            plan,
             solves: 0,
             partitions: BTreeMap::new(),
         }
@@ -185,13 +120,7 @@ impl SolverSession {
         b: &[f64],
         shard: &ShardConfig,
     ) -> Result<ShardedReport, SimtError> {
-        let n = self.l.n();
-        if b.len() != n {
-            return Err(SimtError::Launch(format!(
-                "rhs length {} does not match matrix dimension {n}",
-                b.len()
-            )));
-        }
+        check_rhs(b, self.l.n())?;
         shard.validate()?;
         let part = self
             .partitions
@@ -199,7 +128,7 @@ impl SolverSession {
             .or_insert_with(|| RowPartition::build(&self.l, shard.devices, self.config.warp_size))
             .clone();
         let report =
-            solve_sharded_with_partition(&self.config, &self.l, b, self.algorithm, shard, part)?;
+            solve_sharded_with_partition(&self.config, &self.l, b, self.algorithm(), shard, part)?;
         self.solves += 1;
         Ok(report)
     }
@@ -217,26 +146,18 @@ impl SolverSession {
     /// A right-hand side of the wrong length is a recoverable
     /// [`SimtError::Launch`], not a panic.
     pub fn solve(&mut self, b: &[f64]) -> Result<SolveReport, SimtError> {
-        let n = self.l.n();
-        if b.len() != n {
-            return Err(SimtError::Launch(format!(
-                "rhs length {} does not match matrix dimension {n}",
-                b.len()
-            )));
-        }
-        self.pool.prepare(&mut self.dev, b, n);
-        let stats = self.launch_single()?;
+        check_rhs(b, self.l.n())?;
+        let sim = self.launch_column(b)?;
         self.solves += 1;
-        Ok(SolveReport {
-            algorithm: self.algorithm,
-            x: self.pool.read_x(&self.dev),
-            exec_ms: stats.time_ms(&self.config),
-            gflops: stats.gflops(&self.config, 2 * self.l.nnz() as u64),
-            bandwidth_gbs: stats.bandwidth_gbs(&self.config),
-            stats,
-            preprocessing_ms: 0.0,
-            profiles: self.dev.take_profiles(),
-        })
+        let profiles = self.dev.take_profiles();
+        Ok(SolveReport::new(
+            &self.config,
+            &self.l,
+            self.algorithm(),
+            sim,
+            0.0,
+            profiles,
+        ))
     }
 
     /// Solves `L X = B` for `nrhs` right-hand sides packed row-major in `bs`
@@ -245,145 +166,60 @@ impl SolverSession {
     /// columns; every other algorithm falls back to `nrhs` looped warm
     /// solves with accumulated statistics. Either way `X` comes back
     /// row-major `n × nrhs` and bit-identical to column-by-column solving
-    /// (pinned by `tests/batched.rs`).
+    /// (pinned by `tests/batched.rs`). Shape errors and the zero-column
+    /// success match [`crate::solver::solve_multi_simulated`]; a
+    /// zero-column block does not count as a served solve.
     pub fn solve_multi(&mut self, bs: &[f64], nrhs: usize) -> Result<MultiSolveReport, SimtError> {
         let n = self.l.n();
-        // Checked multiply: validation parity with `solve_multi_simulated` —
-        // an absurd nrhs is a structured Launch error, never an overflow
-        // panic.
-        let expected = n.checked_mul(nrhs).ok_or_else(|| {
-            SimtError::Launch(format!(
-                "rhs block shape {n} rows x {nrhs} rhs overflows usize"
-            ))
-        })?;
-        if bs.len() != expected {
-            return Err(SimtError::Launch(format!(
-                "rhs block has {} elements, expected {n} rows x {nrhs} rhs = {expected}",
-                bs.len(),
-            )));
-        }
+        check_block(bs, n, nrhs)?;
         if nrhs == 0 {
-            // Validation parity with `solve_multi_simulated`: a zero-column
-            // block is a well-formed empty success — no launch, zeroed
-            // counters and derived metrics — and does not count as a served
-            // solve.
-            return Ok(MultiSolveReport {
-                algorithm: self.algorithm,
-                nrhs: 0,
-                x: Vec::new(),
-                stats: LaunchStats::default(),
-                preprocessing_ms: 0.0,
-                exec_ms: 0.0,
-                gflops: 0.0,
-                bandwidth_gbs: 0.0,
-            });
+            return Ok(MultiSolveReport::zero_columns(self.algorithm()));
         }
-
-        let (x, stats) = if self.batched_kernel_available() {
-            self.pool.prepare(&mut self.dev, bs, n);
-            let mb = self.pool.view_multi(nrhs);
-            let stats = match self.algorithm {
-                Algorithm::SyncFree => {
-                    kernels::syncfree_multi::launch_multi(&mut self.dev, self.dm, mb)?
-                }
-                Algorithm::CusparseLike => {
-                    let Analysis::Info(info) = &self.analysis else {
-                        unreachable!("cusparse session always caches row info")
-                    };
-                    let info = *info;
-                    kernels::cusparse_like_multi::launch_multi_with_info(
-                        &mut self.dev,
-                        self.dm,
-                        mb,
-                        info,
-                    )?
-                }
-                Algorithm::CapelliniWritingFirst => {
-                    kernels::writing_first_multi::launch_multi(&mut self.dev, self.dm, mb)?
-                }
-                _ => unreachable!("batched_kernel_available covers exactly the trio"),
-            };
-            (self.pool.read_x(&self.dev), stats)
-        } else {
-            // Looped fallback: one warm single-RHS solve per column, packed
-            // back into the row-major block.
-            let mut x = vec![0.0; n * nrhs];
-            let mut total = LaunchStats::default();
-            let mut col = vec![0.0; n];
-            for r in 0..nrhs {
-                for i in 0..n {
-                    col[i] = bs[i * nrhs + r];
-                }
-                self.pool.prepare(&mut self.dev, &col, n);
-                let stats = self.launch_single()?;
-                total.accumulate(&stats);
-                for (i, &xi) in self.pool.read_x(&self.dev).iter().enumerate() {
-                    x[i * nrhs + r] = xi;
-                }
-            }
-            (x, total)
+        let sim = match self.launch_block(bs, nrhs) {
+            Some(launched) => SimSolve {
+                stats: launched?,
+                x: self.pool.read_x(&self.dev),
+            },
+            None => solve_columns(bs, n, nrhs, |col| Ok((self.launch_column(col)?, 0.0)))?.0,
         };
         self.solves += 1;
-        let useful_flops = 2 * self.l.nnz() as u64 * nrhs as u64;
-        Ok(MultiSolveReport {
-            algorithm: self.algorithm,
+        Ok(MultiSolveReport::new(
+            &self.config,
+            &self.l,
+            self.algorithm(),
             nrhs,
-            x,
-            exec_ms: stats.time_ms(&self.config),
-            gflops: stats.gflops(&self.config, useful_flops),
-            bandwidth_gbs: stats.bandwidth_gbs(&self.config),
+            sim,
+            0.0,
+        ))
+    }
+
+    /// Arms the pool with one right-hand side, launches the plan on it and
+    /// reads the solution back.
+    fn launch_column(&mut self, b: &[f64]) -> Result<SimSolve, SimtError> {
+        self.pool.prepare(&mut self.dev, b, self.l.n());
+        let stats = self
+            .plan
+            .launch(&mut self.dev, self.dm, self.pool.view(), None, &[])?;
+        Ok(SimSolve {
+            x: self.pool.read_x(&self.dev),
             stats,
-            preprocessing_ms: 0.0,
         })
     }
 
-    /// Launches the session's algorithm against the already-prepared pool.
-    fn launch_single(&mut self) -> Result<LaunchStats, SimtError> {
-        let sb = self.pool.view();
-        match &self.analysis {
-            Analysis::Levels { levels, order } => kernels::levelset::launch_with_uploaded_levels(
-                &mut self.dev,
-                self.dm,
-                sb,
-                levels,
-                *order,
-            ),
-            Analysis::Info(info) => {
-                kernels::cusparse_like::launch_with_info(&mut self.dev, self.dm, sb, *info)
-            }
-            Analysis::Tasks { tasks, n_tasks } => {
-                kernels::hybrid::launch_with_tasks(&mut self.dev, self.dm, sb, *tasks, *n_tasks)
-            }
-            Analysis::Sched(ds) => {
-                kernels::scheduled::launch_with_schedule(&mut self.dev, self.dm, sb, *ds)
-            }
-            Analysis::Csc { dc, deg } => {
-                // The scatter kernel consumes its in-degree countdown and
-                // left-sum accumulators; re-arm them from the cached host
-                // copy (no re-analysis — the degrees were computed once).
-                kernels::syncfree_csc::rearm(&mut self.dev, *dc, deg);
-                kernels::syncfree_csc::launch_uploaded(&mut self.dev, *dc, sb.b, sb.x)
-            }
-            Analysis::Plain => match self.algorithm {
-                Algorithm::SyncFree => kernels::syncfree::launch(&mut self.dev, self.dm, sb),
-                Algorithm::CapelliniTwoPhase => {
-                    kernels::two_phase::launch(&mut self.dev, self.dm, sb)
-                }
-                Algorithm::CapelliniWritingFirst => {
-                    kernels::writing_first::launch(&mut self.dev, self.dm, sb)
-                }
-                Algorithm::NaiveThread => kernels::naive::launch(&mut self.dev, self.dm, sb),
-                _ => unreachable!("analysis-carrying algorithms never store Plain"),
-            },
+    /// Arms the pool with the whole block and runs the batched kernel, or
+    /// returns `None` (pool untouched) when the algorithm has none.
+    fn launch_block(&mut self, bs: &[f64], nrhs: usize) -> Option<Result<LaunchStats, SimtError>> {
+        if !self.batched_kernel_available() {
+            return None;
         }
+        self.pool.prepare(&mut self.dev, bs, self.l.n());
+        let mb = self.pool.view_multi(nrhs);
+        self.plan.launch_multi(&mut self.dev, self.dm, mb)
     }
 
     /// True when the session's algorithm has a dedicated SpTRSM kernel.
     pub fn batched_kernel_available(&self) -> bool {
-        matches!(
-            self.algorithm,
-            Algorithm::SyncFree | Algorithm::CusparseLike | Algorithm::CapelliniWritingFirst
-        )
+        self.algorithm().has_batched_kernel()
     }
 
     /// The matrix this session is bound to.
@@ -404,13 +240,13 @@ impl SolverSession {
 
     /// The algorithm every solve of this session runs.
     pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+        self.plan.algorithm()
     }
 
     /// The one-time host analysis cost paid at construction, in ms — the
     /// number that amortizes across [`SolverSession::solve`] calls.
     pub fn analysis_ms(&self) -> f64 {
-        self.analysis_ms
+        self.plan.analysis_ms(&self.l)
     }
 
     /// How many solves (single or batched) this session has served.
@@ -460,16 +296,11 @@ mod tests {
                 let b = rhs(l.n(), seed);
                 let warm = session.solve(&b).unwrap();
                 assert_eq!(warm.x.len(), cold.len());
-                if algo == Algorithm::SyncFreeCsc {
-                    // The CSC scatter accumulates via atomics, so its
-                    // floating-point summation order follows the launch
-                    // schedule, which shifts with the device's allocation
-                    // layout — warm and cold agree to rounding, not bitwise.
-                    linalg::assert_solutions_close(&warm.x, cold, 1e-11);
-                } else {
-                    for (w, c) in warm.x.iter().zip(cold) {
-                        assert_eq!(w.to_bits(), c.to_bits(), "{}: warm != cold", algo.label());
-                    }
+                // Sessions lay device memory out like cold solves, so even
+                // the CSC scatter, whose atomic summation order follows the
+                // launch schedule, agrees bitwise.
+                for (w, c) in warm.x.iter().zip(cold) {
+                    assert_eq!(w.to_bits(), c.to_bits(), "{}: warm != cold", algo.label());
                 }
                 assert_eq!(warm.preprocessing_ms, 0.0);
             }

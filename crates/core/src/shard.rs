@@ -24,12 +24,13 @@
 //! kernel; the CSC scatter formulation reorders atomic adds and is compared
 //! within tolerance instead):
 //!
-//! * thread-per-row kernels (Writing-First, Two-Phase, Naive) and
-//!   warp-per-row kernels (SyncFree, cuSPARSE-like) run behind a
-//!   [`ShardView`] that offsets global thread ids by the shard base and
-//!   exits out-of-shard lanes at launch;
-//! * Hybrid filters the *global* task plan down to the shard's rows (blocks
-//!   never span warp-aligned cuts, so per-row granularity is preserved);
+//! * thread-per-row kernels (Writing-First, Two-Phase, Naive), warp-per-row
+//!   kernels (SyncFree, cuSPARSE-like) and Hybrid build their
+//!   `Plan` on each shard device and launch it over the shard's row
+//!   range: ids run behind a [`ShardView`] that offsets them by the shard
+//!   base and exits out-of-shard lanes at launch, and Hybrid filters the
+//!   *global* task list down to the shard's rows (blocks never span
+//!   warp-aligned cuts, so per-row granularity is preserved);
 //! * Scheduled builds its schedule on a ghost-padded shard matrix
 //!   ([`GhostShard`]), then strips the ghost rows back out of the unit
 //!   lists; each import gets a fresh per-unit flag slot that the link event
@@ -59,16 +60,10 @@ use capellini_sparse::{
 };
 
 use crate::buffers::{DeviceCsr, SolveBuffers};
-use crate::kernels::cusparse_like::CusparseLikeKernel;
-use crate::kernels::cusparse_like_multi::build_info;
-use crate::kernels::hybrid::{self, HybridKernel, Task};
 use crate::kernels::levelset::LevelSolveKernel;
-use crate::kernels::naive::NaiveThreadKernel;
 use crate::kernels::scheduled::{DeviceSchedule, ScheduledKernel};
-use crate::kernels::syncfree::SyncFreeKernel;
 use crate::kernels::syncfree_csc::{self, SyncFreeCscKernel};
-use crate::kernels::two_phase::TwoPhaseKernel;
-use crate::kernels::writing_first::WritingFirstKernel;
+use crate::plan::{check_rhs, Plan};
 use crate::select::Algorithm;
 
 /// Payload bytes per boundary message: the 8-byte value plus the row index
@@ -333,6 +328,7 @@ pub fn solve_sharded(
     algorithm: Algorithm,
     shard: &ShardConfig,
 ) -> Result<ShardedReport, SimtError> {
+    check_rhs(b, l.n())?;
     shard.validate()?;
     let part = RowPartition::build(l, shard.devices, config.warp_size);
     solve_sharded_with_partition(config, l, b, algorithm, shard, part)
@@ -349,7 +345,7 @@ pub fn solve_sharded_with_partition(
     shard: &ShardConfig,
     part: RowPartition,
 ) -> Result<ShardedReport, SimtError> {
-    assert_eq!(b.len(), l.n(), "rhs length must equal matrix dimension");
+    check_rhs(b, l.n())?;
     shard.validate()?;
     let tpc = config.schedulers_per_sm.max(1) as u64;
     let mut links = Links::new(shard.link, tpc);
@@ -391,7 +387,9 @@ fn finish(
 }
 
 /// Sharded driver for every kernel that indexes `x`/`flags` by global row:
-/// the thread-per-row family, the warp-per-row family, and Hybrid.
+/// the thread-per-row family, the warp-per-row family, and Hybrid. Each
+/// shard device builds the algorithm's `Plan` and launches it over its
+/// row range.
 fn solve_row_kernels(
     config: &DeviceConfig,
     l: &LowerTriangularCsr,
@@ -401,7 +399,6 @@ fn solve_row_kernels(
     links: &mut Links,
 ) -> Result<ShardRun, SimtError> {
     let n = l.n();
-    let ws = config.warp_size;
     let devices = part.devices();
     let mut x = vec![0.0f64; n];
     let mut per_device = vec![LaunchStats::default(); devices];
@@ -416,6 +413,7 @@ fn solve_row_kernels(
         let mut dev = GpuDevice::new(config.clone());
         let m = DeviceCsr::upload(&mut dev, l);
         let sb = SolveBuffers::upload(&mut dev, b);
+        let plan = Plan::build(&mut dev, l, m, algorithm);
         let mut events: Vec<ExtEvent> = Vec::new();
         for (p, from) in pubs.iter().enumerate().take(d) {
             let rows = part.imports_from(d, p);
@@ -442,58 +440,7 @@ fn solve_row_kernels(
         }
         events.sort_by_key(|e| e.tick);
         dev.mem().set_watch(&[sb.x.raw(), sb.flags.raw()]);
-        let res = match algorithm {
-            Algorithm::CapelliniWritingFirst => dev.launch_with_events(
-                &ShardView::new(WritingFirstKernel::new(m, sb), r0, r1),
-                ((r1 - r0) as usize).div_ceil(ws),
-                &events,
-            ),
-            Algorithm::CapelliniTwoPhase => dev.launch_with_events(
-                &ShardView::new(TwoPhaseKernel::new(m, sb, ws), r0, r1),
-                ((r1 - r0) as usize).div_ceil(ws),
-                &events,
-            ),
-            Algorithm::NaiveThread => dev.launch_with_events(
-                &ShardView::new(NaiveThreadKernel::new(m, sb), r0, r1),
-                ((r1 - r0) as usize).div_ceil(ws),
-                &events,
-            ),
-            Algorithm::SyncFree => dev.launch_with_events(
-                &ShardView::new(
-                    SyncFreeKernel::new(m, sb, ws),
-                    r0 * ws as u32,
-                    r1 * ws as u32,
-                ),
-                (r1 - r0) as usize,
-                &events,
-            ),
-            Algorithm::CusparseLike => {
-                let info = build_info(&mut dev, m);
-                dev.launch_with_events(
-                    &ShardView::new(
-                        CusparseLikeKernel::new(m, sb, info, ws),
-                        r0 * ws as u32,
-                        r1 * ws as u32,
-                    ),
-                    (r1 - r0) as usize,
-                    &events,
-                )
-            }
-            Algorithm::Hybrid => {
-                let local: Vec<Task> = hybrid::plan_tasks(l, ws, hybrid::DEFAULT_THRESHOLD)
-                    .into_iter()
-                    .filter(|t| match *t {
-                        Task::ThreadBlock { base } => base >= r0 && base < r1,
-                        Task::WarpRow { row } => row >= r0 && row < r1,
-                    })
-                    .collect();
-                let tasks = hybrid::upload_task_list(&mut dev, &local);
-                dev.launch_with_events(&HybridKernel::new(m, sb, tasks, ws), local.len(), &events)
-            }
-            Algorithm::LevelSet | Algorithm::SyncFreeCsc | Algorithm::Scheduled => {
-                unreachable!("handled by dedicated drivers")
-            }
-        };
+        let res = plan.launch(&mut dev, m, sb, Some(r0..r1), &events);
         match res {
             Ok(stats) => {
                 let recs = dev.mem().take_watch();

@@ -1,11 +1,13 @@
-//! The high-level solve API: dispatches any [`Algorithm`] onto a simulated
-//! device, accounts host-side preprocessing, and derives the
+//! The high-level solve API: runs any [`Algorithm`]'s `Plan` on a fresh
+//! simulated device, accounts host-side preprocessing, and derives the
 //! paper's reporting metrics (GFLOPS, bandwidth, instructions, stalls).
 
-use capellini_simt::{DeviceConfig, GpuDevice, HostCostModel, LaunchStats, Profile, SimtError};
-use capellini_sparse::{LevelSets, LowerTriangularCsr, MatrixStats};
+use capellini_simt::{DeviceConfig, GpuDevice, LaunchStats, Profile, SimtError};
+use capellini_sparse::{LowerTriangularCsr, MatrixStats};
 
-use crate::kernels;
+use crate::buffers::{DeviceCsr, MultiSolveBuffers};
+use crate::kernels::SimSolve;
+use crate::plan::{check_block, solve_once, Plan};
 use crate::select::{recommend, Algorithm};
 
 /// The outcome of one simulated solve, carrying everything the paper's
@@ -32,7 +34,32 @@ pub struct SolveReport {
     pub profiles: Vec<Profile>,
 }
 
-/// Runs `algorithm` on a fresh simulated device of the given configuration.
+impl SolveReport {
+    /// Derives the paper's metrics from one launch's counters.
+    pub(crate) fn new(
+        config: &DeviceConfig,
+        l: &LowerTriangularCsr,
+        algorithm: Algorithm,
+        sim: SimSolve,
+        preprocessing_ms: f64,
+        profiles: Vec<Profile>,
+    ) -> Self {
+        SolveReport {
+            algorithm,
+            exec_ms: sim.stats.time_ms(config),
+            gflops: sim.stats.gflops(config, 2 * l.nnz() as u64),
+            bandwidth_gbs: sim.stats.bandwidth_gbs(config),
+            x: sim.x,
+            stats: sim.stats,
+            preprocessing_ms,
+            profiles,
+        }
+    }
+}
+
+/// Runs `algorithm` on a fresh simulated device of the given configuration:
+/// uploads the CSR arrays and the solve buffers, builds the algorithm's
+/// `Plan` and launches it once.
 ///
 /// The whole device configuration flows through verbatim.
 ///
@@ -45,96 +72,10 @@ pub fn solve_simulated(
     b: &[f64],
     algorithm: Algorithm,
 ) -> Result<SolveReport, SimtError> {
-    let n = l.n();
-    if b.len() != n {
-        return Err(SimtError::Launch(format!(
-            "rhs length {} does not match matrix dimension {n}",
-            b.len()
-        )));
-    }
     let mut dev = GpuDevice::new(config.clone());
-    let host = HostCostModel::default();
-    let nnz = l.nnz();
-
-    let (sim, preprocessing_ms) = match algorithm {
-        Algorithm::LevelSet => {
-            let levels = LevelSets::analyze(l);
-            let pre = host.levelset_preprocessing_ms(n, nnz, levels.n_levels());
-            let dm = crate::buffers::DeviceCsr::upload(&mut dev, l);
-            let sb = crate::buffers::SolveBuffers::upload(&mut dev, b);
-            let stats = kernels::levelset::launch_with_levels(&mut dev, dm, sb, &levels)?;
-            (
-                kernels::SimSolve {
-                    x: sb.read_x(&dev),
-                    stats,
-                },
-                pre,
-            )
-        }
-        Algorithm::SyncFree => {
-            let pre = host.syncfree_preprocessing_ms(n, nnz);
-            (kernels::syncfree::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::SyncFreeCsc => {
-            // CSC conversion plus the in-degree sweep (one pass over n rows).
-            let pre = host.syncfree_preprocessing_ms(n, nnz) + (n as f64 * 0.3) / 1e6;
-            (kernels::syncfree_csc::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::CusparseLike => {
-            let pre = host.cusparse_preprocessing_ms(n, nnz);
-            (kernels::cusparse_like::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::CapelliniTwoPhase => {
-            let pre = host.capellini_preprocessing_ms(n);
-            (kernels::two_phase::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::CapelliniWritingFirst => {
-            let pre = host.capellini_preprocessing_ms(n);
-            (kernels::writing_first::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::NaiveThread => {
-            let pre = host.capellini_preprocessing_ms(n);
-            (kernels::naive::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::Hybrid => {
-            // Task planning walks row_ptr once: charge it like a light
-            // analysis pass.
-            let pre = host.capellini_preprocessing_ms(n) + (n as f64 * 1.2) / 1e6;
-            (kernels::hybrid::solve(&mut dev, l, b)?, pre)
-        }
-        Algorithm::Scheduled => {
-            let levels = LevelSets::analyze(l);
-            let schedule = capellini_sparse::Schedule::build(
-                l,
-                &levels,
-                capellini_sparse::ScheduleParams::for_warp(config.warp_size),
-            );
-            let pre = host.scheduled_preprocessing_ms(n, nnz, levels.n_levels());
-            let dm = crate::buffers::DeviceCsr::upload(&mut dev, l);
-            let sb = crate::buffers::SolveBuffers::upload(&mut dev, b);
-            let ds = kernels::scheduled::upload_schedule(&mut dev, &schedule);
-            let stats = kernels::scheduled::launch_with_schedule(&mut dev, dm, sb, ds)?;
-            (
-                kernels::SimSolve {
-                    x: sb.read_x(&dev),
-                    stats,
-                },
-                pre,
-            )
-        }
-    };
-
-    let useful_flops = 2 * nnz as u64;
-    Ok(SolveReport {
-        algorithm,
-        exec_ms: sim.stats.time_ms(config),
-        gflops: sim.stats.gflops(config, useful_flops),
-        bandwidth_gbs: sim.stats.bandwidth_gbs(config),
-        x: sim.x,
-        stats: sim.stats,
-        preprocessing_ms,
-        profiles: dev.take_profiles(),
-    })
+    let (sim, pre) = solve_once(&mut dev, l, b, algorithm)?;
+    let profiles = dev.take_profiles();
+    Ok(SolveReport::new(config, l, algorithm, sim, pre, profiles))
 }
 
 /// The outcome of one batched (SpTRSM) solve over `nrhs` right-hand sides.
@@ -159,13 +100,81 @@ pub struct MultiSolveReport {
     pub bandwidth_gbs: f64,
 }
 
+impl MultiSolveReport {
+    /// Derives the batched metrics (`2·nnz·nrhs` useful flops) from the
+    /// accumulated counters.
+    pub(crate) fn new(
+        config: &DeviceConfig,
+        l: &LowerTriangularCsr,
+        algorithm: Algorithm,
+        nrhs: usize,
+        sim: SimSolve,
+        preprocessing_ms: f64,
+    ) -> Self {
+        let useful_flops = 2 * l.nnz() as u64 * nrhs as u64;
+        MultiSolveReport {
+            algorithm,
+            nrhs,
+            exec_ms: sim.stats.time_ms(config),
+            gflops: sim.stats.gflops(config, useful_flops),
+            bandwidth_gbs: sim.stats.bandwidth_gbs(config),
+            x: sim.x,
+            stats: sim.stats,
+            preprocessing_ms,
+        }
+    }
+
+    /// A zero-column block is a well-formed degenerate solve: an empty
+    /// solution, zeroed counters, zero derived metrics, and no launch —
+    /// never an error or a division by zero.
+    pub(crate) fn zero_columns(algorithm: Algorithm) -> Self {
+        MultiSolveReport {
+            algorithm,
+            nrhs: 0,
+            x: Vec::new(),
+            stats: LaunchStats::default(),
+            preprocessing_ms: 0.0,
+            exec_ms: 0.0,
+            gflops: 0.0,
+            bandwidth_gbs: 0.0,
+        }
+    }
+}
+
+/// Solves a row-major `n × nrhs` block one column at a time with `solve`,
+/// which returns a column's solution, counters and preprocessing charge.
+/// Packs the solutions back row-major and sums counters and charges.
+pub(crate) fn solve_columns(
+    bs: &[f64],
+    n: usize,
+    nrhs: usize,
+    mut solve: impl FnMut(&[f64]) -> Result<(SimSolve, f64), SimtError>,
+) -> Result<(SimSolve, f64), SimtError> {
+    let mut x = vec![0.0; n * nrhs];
+    let mut stats = LaunchStats::default();
+    let mut pre = 0.0;
+    let mut col = vec![0.0; n];
+    for r in 0..nrhs {
+        for i in 0..n {
+            col[i] = bs[i * nrhs + r];
+        }
+        let (sim, col_pre) = solve(&col)?;
+        stats.accumulate(&sim.stats);
+        pre += col_pre;
+        for (i, &xi) in sim.x.iter().enumerate() {
+            x[i * nrhs + r] = xi;
+        }
+    }
+    Ok((SimSolve { x, stats }, pre))
+}
+
 /// Solves `L X = B` for `nrhs` right-hand sides packed row-major in `bs`
 /// (`bs[i*nrhs + r]`) on a fresh simulated device. The evaluation trio
 /// (SyncFree, cuSPARSE-like, Writing-First) runs its dedicated SpTRSM
 /// kernel in a single launch; every other algorithm loops `nrhs`
-/// single-RHS solves (each paying its preprocessing) and accumulates the
-/// statistics. Both paths return `X` bit-identical to column-by-column
-/// solving.
+/// single-RHS solves (each on its own cold device, paying its
+/// preprocessing) and accumulates the statistics. Both paths return `X`
+/// bit-identical to column-by-column solving.
 ///
 /// Shape mismatches are recoverable [`SimtError::Launch`] errors. A
 /// zero-column block (`nrhs == 0` with an empty `bs`) is *not* an error:
@@ -179,85 +188,33 @@ pub fn solve_multi_simulated(
     algorithm: Algorithm,
 ) -> Result<MultiSolveReport, SimtError> {
     let n = l.n();
-    let nnz = l.nnz();
-    // Checked multiply: an absurd nrhs must surface as the same structured
-    // Launch error as any other shape mismatch, never an overflow panic.
-    let expected = n.checked_mul(nrhs).ok_or_else(|| {
-        SimtError::Launch(format!(
-            "rhs block shape {n} rows x {nrhs} rhs overflows usize"
-        ))
-    })?;
-    if bs.len() != expected {
-        return Err(SimtError::Launch(format!(
-            "rhs block has {} elements, expected {n} rows x {nrhs} rhs = {expected}",
-            bs.len(),
-        )));
-    }
+    check_block(bs, n, nrhs)?;
     if nrhs == 0 {
-        // A zero-column block is a well-formed degenerate solve: an empty
-        // solution, zeroed counters, zero derived metrics, and no launch —
-        // never an error or a division by zero.
-        return Ok(MultiSolveReport {
-            algorithm,
-            nrhs: 0,
-            x: Vec::new(),
-            stats: LaunchStats::default(),
-            preprocessing_ms: 0.0,
-            exec_ms: 0.0,
-            gflops: 0.0,
-            bandwidth_gbs: 0.0,
-        });
+        return Ok(MultiSolveReport::zero_columns(algorithm));
     }
-    let host = HostCostModel::default();
-    let (x, stats, preprocessing_ms) = if matches!(
-        algorithm,
-        Algorithm::SyncFree | Algorithm::CusparseLike | Algorithm::CapelliniWritingFirst
-    ) {
+    if algorithm.has_batched_kernel() {
         let mut dev = GpuDevice::new(config.clone());
-        let (sim, pre) = match algorithm {
-            Algorithm::SyncFree => (
-                kernels::syncfree_multi::solve_multi(&mut dev, l, bs, nrhs)?,
-                host.syncfree_preprocessing_ms(n, nnz),
-            ),
-            Algorithm::CusparseLike => (
-                kernels::cusparse_like_multi::solve_multi(&mut dev, l, bs, nrhs)?,
-                host.cusparse_preprocessing_ms(n, nnz),
-            ),
-            _ => (
-                kernels::writing_first_multi::solve_multi(&mut dev, l, bs, nrhs)?,
-                host.capellini_preprocessing_ms(n),
-            ),
-        };
-        (sim.x, sim.stats, pre)
-    } else {
-        let mut x = vec![0.0; n * nrhs];
-        let mut stats = LaunchStats::default();
-        let mut pre = 0.0;
-        let mut col = vec![0.0; n];
-        for r in 0..nrhs {
-            for i in 0..n {
-                col[i] = bs[i * nrhs + r];
-            }
-            let rep = solve_simulated(config, l, &col, algorithm)?;
-            stats.accumulate(&rep.stats);
-            pre += rep.preprocessing_ms;
-            for (i, &xi) in rep.x.iter().enumerate() {
-                x[i * nrhs + r] = xi;
-            }
+        let dm = DeviceCsr::upload(&mut dev, l);
+        let mb = MultiSolveBuffers::upload(&mut dev, bs, n, nrhs);
+        let plan = Plan::build(&mut dev, l, dm, algorithm);
+        if let Some(launched) = plan.launch_multi(&mut dev, dm, mb) {
+            let sim = SimSolve {
+                stats: launched?,
+                x: mb.read_x(&dev),
+            };
+            let pre = plan.analysis_ms(l);
+            return Ok(MultiSolveReport::new(config, l, algorithm, nrhs, sim, pre));
         }
-        (x, stats, pre)
-    };
-    let useful_flops = 2 * nnz as u64 * nrhs as u64;
-    Ok(MultiSolveReport {
-        algorithm,
-        nrhs,
-        exec_ms: stats.time_ms(config),
-        gflops: stats.gflops(config, useful_flops),
-        bandwidth_gbs: stats.bandwidth_gbs(config),
-        x,
-        stats,
-        preprocessing_ms,
-    })
+    }
+    let (sim, pre) = solve_columns(bs, n, nrhs, |col| {
+        let rep = solve_simulated(config, l, col, algorithm)?;
+        let sim = SimSolve {
+            x: rep.x,
+            stats: rep.stats,
+        };
+        Ok((sim, rep.preprocessing_ms))
+    })?;
+    Ok(MultiSolveReport::new(config, l, algorithm, nrhs, sim, pre))
 }
 
 /// A reusable solver bound to one matrix: computes statistics once,
@@ -459,27 +416,38 @@ mod tests {
         }
     }
 
-    /// Regression (validation parity): the cold free function must reject a
-    /// wrong-length right-hand side exactly like `SolverSession::solve`
-    /// does — a recoverable Launch error, never a panic or a misread — and
-    /// the `Solver` wrappers inherit the check.
+    /// Regression (validation parity): the cold free function and both
+    /// public sharded entry points must reject a wrong-length right-hand
+    /// side exactly like `SolverSession::solve` does — a recoverable Launch
+    /// error, never a panic or a misread — and the `Solver` wrappers
+    /// inherit the check.
     #[test]
     fn solve_simulated_rejects_wrong_rhs_length() {
+        use crate::shard::{solve_sharded, solve_sharded_with_partition, ShardConfig};
         let l = gen::diagonal(16);
         let cfg = DeviceConfig::pascal_like();
+        let shard = ShardConfig::pcie(2);
+        let part = capellini_sparse::RowPartition::build(&l, 2, cfg.warp_size);
         for algo in Algorithm::all_live() {
             for bad in [0usize, 7, 17] {
-                let err = solve_simulated(&cfg, &l, &vec![1.0; bad], algo).unwrap_err();
-                assert!(
-                    matches!(err, capellini_simt::SimtError::Launch(_)),
-                    "{}: rhs length {bad} must be a Launch error",
-                    algo.label()
-                );
-                assert!(
-                    err.to_string().contains(&bad.to_string()),
-                    "{}: message names the bad length: {err}",
-                    algo.label()
-                );
+                let b = vec![1.0; bad];
+                for err in [
+                    solve_simulated(&cfg, &l, &b, algo).unwrap_err(),
+                    solve_sharded(&cfg, &l, &b, algo, &shard).unwrap_err(),
+                    solve_sharded_with_partition(&cfg, &l, &b, algo, &shard, part.clone())
+                        .unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(err, capellini_simt::SimtError::Launch(_)),
+                        "{}: rhs length {bad} must be a Launch error",
+                        algo.label()
+                    );
+                    assert!(
+                        err.to_string().contains(&bad.to_string()),
+                        "{}: message names the bad length: {err}",
+                        algo.label()
+                    );
+                }
             }
         }
         let solver = Solver::new(l);

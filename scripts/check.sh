@@ -10,9 +10,6 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy benches + examples (deny warnings)"
-cargo clippy --workspace --benches --examples -- -D warnings
-
 echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

@@ -190,7 +190,18 @@ fn cmd_solve(args: &[String]) {
     let bs: Vec<f64> = if rhs_cols == 1 {
         b.clone()
     } else {
-        let mut bs = vec![0.0; n * rhs_cols];
+        // Checked size and fallible reservation: an absurd K is a usage
+        // error before anything is allocated, never a capacity panic.
+        let mut bs = Vec::new();
+        let len = n.checked_mul(rhs_cols);
+        if len.is_none_or(|len| bs.try_reserve_exact(len).is_err()) {
+            eprintln!(
+                "--rhs-cols {rhs_cols} asks for a {n} x {rhs_cols} right-hand-side block, \
+                 too large to allocate"
+            );
+            exit(2);
+        }
+        bs.resize(n * rhs_cols, 0.0);
         for (j, &bj) in b.iter().enumerate() {
             for r in 0..rhs_cols {
                 bs[j * rhs_cols + r] = bj * (r as f64 + 1.0);

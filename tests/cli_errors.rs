@@ -117,16 +117,24 @@ fn unparsable_rhs_value_is_an_error() {
 #[test]
 fn bad_batching_flags_are_usage_errors() {
     let m = scratch("good3.mtx", VALID_LOWER_3X3);
-    for (flag, bad) in [
-        ("--rhs-cols", "0"),
-        ("--rhs-cols", "three"),
-        ("--session", "0"),
-        ("--session", "-2"),
-        ("--profile-interval", "0"),
-        ("--profile-interval", "often"),
+    for (flag, bad, message) in [
+        ("--rhs-cols", "0", "positive integer"),
+        ("--rhs-cols", "three", "positive integer"),
+        // More than isize::MAX bytes, and a row count times K that
+        // overflows usize: both fail before anything is allocated.
+        ("--rhs-cols", "500000000000000000", "too large to allocate"),
+        (
+            "--rhs-cols",
+            "18446744073709551615",
+            "too large to allocate",
+        ),
+        ("--session", "0", "positive integer"),
+        ("--session", "-2", "positive integer"),
+        ("--profile-interval", "0", "positive integer"),
+        ("--profile-interval", "often", "positive integer"),
     ] {
         let out = sptrsv(&["solve", "--matrix", m.to_str().unwrap(), flag, bad]);
-        assert_readable_failure(&out, "positive integer");
+        assert_readable_failure(&out, message);
         assert_eq!(out.status.code(), Some(2), "{flag} {bad} is a usage error");
     }
     let _ = fs::remove_file(m);

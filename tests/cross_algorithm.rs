@@ -108,3 +108,84 @@ fn multiple_rhs_reuse_the_same_matrix() {
         linalg::assert_solutions_close(&rep.x, &x_ref, 1e-10);
     }
 }
+
+/// Every entry point runs the same plan over the same device layout (CSR,
+/// then `b`/`x`/flags, then the plan's buffers), so a cold solve and the
+/// first solve of a fresh session agree on the solution bits and on every
+/// launch counter — under sequential consistency, a relaxed store buffer
+/// and an armed cache alike, where the allocation order shows in the
+/// counters. Batched cold and session solves agree under SC. The cold path
+/// runs exactly the analysis its plan needs: one level-set analysis for
+/// Level-Set and Scheduled, one CSC conversion for SyncFree-CSC.
+#[test]
+fn cold_and_session_entry_points_agree() {
+    use capellini_sptrsv::core::{solve_multi_simulated, SolverSession};
+    use capellini_sptrsv::sparse::{csr, levels};
+
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let base = DeviceConfig::pascal_like().scaled_down(4);
+    let models = [
+        ("sc", base.clone()),
+        (
+            "relaxed",
+            base.clone().with_memory_model(MemoryModel::relaxed(2_000)),
+        ),
+        ("cache", base.clone().with_cache(CacheConfig::small())),
+    ];
+    let mats = [
+        ("random_k", gen::random_k(600, 3, 600, 42)),
+        ("chain", gen::chain(300, 2, 7)),
+        ("layered", gen::layered(300, 4, 5, 91)),
+    ];
+    for (mname, cfg) in &models {
+        for (lname, l) in &mats {
+            let (b, _) = problem(l);
+            for algo in Algorithm::all_live() {
+                let cell = format!("{mname}/{lname}/{}", algo.label());
+                let analyses = levels::analyze_invocations();
+                let conversions = csr::csc_conversions();
+                let cold = solve_simulated(cfg, l, &b, algo).unwrap();
+                let levelled = matches!(algo, Algorithm::LevelSet | Algorithm::Scheduled);
+                assert_eq!(
+                    levels::analyze_invocations() - analyses,
+                    u64::from(levelled),
+                    "{cell}: cold level-set analyses"
+                );
+                assert_eq!(
+                    csr::csc_conversions() - conversions,
+                    u64::from(algo == Algorithm::SyncFreeCsc),
+                    "{cell}: cold CSC conversions"
+                );
+                let warm = SolverSession::with_algorithm(cfg, l.clone(), algo)
+                    .solve(&b)
+                    .unwrap();
+                assert_eq!(bits(&cold.x), bits(&warm.x), "{cell}: solution bits");
+                assert_eq!(
+                    format!("{:?}", cold.stats),
+                    format!("{:?}", warm.stats),
+                    "{cell}: launch counters"
+                );
+            }
+        }
+    }
+    let (_, cfg) = &models[0];
+    let nrhs = 3;
+    for (lname, l) in &mats {
+        let bs: Vec<f64> = (0..l.n() * nrhs)
+            .map(|i| ((i * 13 + 5) % 17) as f64 - 8.0)
+            .collect();
+        for algo in Algorithm::evaluation_trio() {
+            let cell = format!("sc/{lname}/{} x{nrhs}", algo.label());
+            let cold = solve_multi_simulated(cfg, l, &bs, nrhs, algo).unwrap();
+            let warm = SolverSession::with_algorithm(cfg, l.clone(), algo)
+                .solve_multi(&bs, nrhs)
+                .unwrap();
+            assert_eq!(bits(&cold.x), bits(&warm.x), "{cell}: solution bits");
+            assert_eq!(
+                format!("{:?}", cold.stats),
+                format!("{:?}", warm.stats),
+                "{cell}: launch counters"
+            );
+        }
+    }
+}
